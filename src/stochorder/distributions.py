@@ -4,6 +4,8 @@ Three substrates cover everything the comparison engines consume:
 
 * :class:`FiniteJointDistribution` -- an atomic joint pmf, the exact
   substrate on which the precedence orders are computed in closed form.
+  It is stored as three read-only float64 columns ``x``, ``y`` and ``p``
+  sorted by (x, y); ``atoms`` is a tuple view of them built on first use.
 * :class:`GridDensityPair` -- two marginal densities tabulated on a shared
   grid, the substrate for the classical marginal-based partial orders on
   continuous laws.
@@ -13,7 +15,11 @@ All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
 
 Mass bookkeeping uses ``math.fsum`` throughout, which keeps the total-mass
-invariant (sum = 1 within 1e-12) independent of support size.
+invariant (sum = 1 within 1e-12) independent of support size.  Building a
+joint or a marginal is one grouped reduction: a stable sort, group
+boundaries found with ``!=``, and ``fsum`` over each group that holds
+duplicates.  Inputs are converted and checked with numpy; only when a check
+fails does an atom-by-atom pass run, to name the first bad atom.
 """
 
 from __future__ import annotations
@@ -49,6 +55,29 @@ def _check_total(total: float, what: str) -> None:
         raise ValidationError(f"{what}: masses sum to {total!r}, not 1")
 
 
+def _fsum(column: np.ndarray) -> float:
+    return math.fsum(column.tolist())
+
+
+def _grouped(keys: list[np.ndarray], p: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Merge equal keys: the key columns of each group and its fsum'd mass.
+
+    Groups come out sorted by the keys, the first key primary.  Keys are
+    compared with ``==``, so -0.0 joins 0.0; the stable sort keeps each
+    group's first-seen key.  Only groups that hold duplicates are summed.
+    """
+    order = np.lexsort(keys[::-1])
+    keys, p = [k[order] for k in keys], p[order]
+    starts = np.flatnonzero(np.r_[True, np.logical_or.reduce([k[1:] != k[:-1] for k in keys])])
+    ends = np.r_[starts[1:], p.size]
+    mass = p[starts]
+    shared = np.flatnonzero(ends - starts > 1)
+    masses = p.tolist()
+    bounds = zip(starts[shared].tolist(), ends[shared].tolist())
+    mass[shared] = [math.fsum(masses[a:b]) for a, b in bounds]
+    return [k[starts] for k in keys], mass
+
+
 @dataclass(frozen=True)
 class FiniteMarginal:
     """A univariate pmf: (value, mass) points with strictly increasing values."""
@@ -69,6 +98,13 @@ class FiniteMarginal:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValidationError("support values must be strictly increasing")
         _check_total(math.fsum(p for _, p in pts), "marginal")
+
+    @classmethod
+    def _from_columns(cls, values: np.ndarray, masses: np.ndarray) -> "FiniteMarginal":
+        """Wrap merged columns, sorted by value with positive masses, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "points", tuple(zip(values.tolist(), masses.tolist())))
+        return m
 
     def __len__(self) -> int:
         return len(self.points)
@@ -91,30 +127,131 @@ class FiniteMarginal:
         return float(out) if arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+def _as_rows(raw, width: int) -> np.ndarray | None:
+    """``raw`` as an (n, width) float array, or None where numpy cannot convert it."""
+    try:
+        rows = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return rows if rows.ndim == 2 and rows.shape[1] == width else None
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FiniteJointDistribution:
-    """Atomic joint pmf of a pair: (x, y, mass) atoms with unique (x, y)."""
+    """Atomic joint pmf of a pair: (x, y, mass) atoms with unique (x, y).
 
-    atoms: tuple[tuple[float, float, float], ...]
+    The law is held as three read-only float64 columns ``x``, ``y`` and
+    ``p``, sorted by (x, y).  ``atoms`` is a tuple view of the same law as
+    (x, y, p) floats, built on first use.
+    """
 
-    def __post_init__(self):
-        atoms = tuple((float(x), float(y), float(p)) for x, y, p in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if not atoms:
+    x: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
+
+    def __init__(self, atoms: Iterable[tuple[float, float, float]]):
+        if not isinstance(atoms, (list, tuple, np.ndarray)):
+            atoms = list(atoms)
+        rows = _as_rows(atoms, 3)
+        if rows is None:
+            rows = np.array([(float(x), float(y), float(p)) for x, y, p in atoms]).reshape(-1, 3)
+        if not rows.size:
             raise EmptyDistribution("joint distribution has no atoms")
-        seen = set()
-        for x, y, p in atoms:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValidationError(f"support point ({x!r}, {y!r}) is not finite")
-            if not (math.isfinite(p) and p > 0.0):
-                raise ValidationError(f"mass {p!r} at ({x!r}, {y!r}) must be positive and finite")
-            if (x, y) in seen:
-                raise ValidationError(f"duplicate atom at ({x!r}, {y!r})")
-            seen.add((x, y))
-        _check_total(math.fsum(p for _, _, p in atoms), "joint")
+        x, y, p = rows.T
+        order = np.lexsort((y, x))
+        xs, ys = x[order], y[order]
+        non_finite = ~(np.isfinite(x) & np.isfinite(y))
+        bad_mass = ~(np.isfinite(p) & (p > 0.0))
+        duplicate = np.zeros(p.size, dtype=bool)
+        duplicate[order[1:][(xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])]] = True
+        bad = non_finite | bad_mass | duplicate
+        if bad.any():  # report the first bad atom, as an atom-by-atom check would
+            i = int(np.argmax(bad))
+            xi, yi, pi = rows[i].tolist()
+            if non_finite[i]:
+                raise ValidationError(f"support point ({xi!r}, {yi!r}) is not finite")
+            if bad_mass[i]:
+                raise ValidationError(
+                    f"mass {pi!r} at ({xi!r}, {yi!r}) must be positive and finite"
+                )
+            raise ValidationError(f"duplicate atom at ({xi!r}, {yi!r})")
+        _check_total(_fsum(p), "joint")
+        self._set_columns(xs, ys, p[order])
+
+    @classmethod
+    def _from_columns(cls, x, y, p) -> "FiniteJointDistribution":
+        """Wrap merged columns, sorted by (x, y) with positive masses, unchecked."""
+        j = object.__new__(cls)
+        j._set_columns(x, y, p)
+        return j
+
+    def _set_columns(self, *columns: np.ndarray) -> None:
+        for name, column in zip("xyp", columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[float, float, float], ...]:
+        return tuple(zip(self.x.tolist(), self.y.tolist(), self.p.tolist()))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return int(self.p.size)
+
+    def __eq__(self, other):
+        return self.atoms == other.atoms if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.atoms)
+
+
+def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.ndarray:
+    """Raw (coordinates..., mass) rows as an (n, width) array, checked.
+
+    Coordinates must be finite and masses finite and >= 0.  The conversion
+    and the checks run vectorized; only when they fail does the
+    row-by-row loop run, to name the first bad row.
+    """
+    if not isinstance(raw, (list, tuple, np.ndarray)):
+        raw = list(raw)
+    rows = _as_rows(raw, width)
+    if rows is not None and np.isfinite(rows).all() and (rows[:, -1] >= 0.0).all():
+        return rows
+    cleaned = []
+    for i, row in enumerate(raw):
+        try:
+            row = tuple(map(float, row))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{item} {i}: expected {shape}") from exc
+        if len(row) != width:
+            raise ValidationError(f"{item} {i}: expected {shape}")
+        if not all(map(math.isfinite, row[:-1])):
+            raise ValidationError(f"{item} {i}: non-finite {support}")
+        if not math.isfinite(row[-1]) or row[-1] < 0.0:
+            raise ValidationError(f"{item} {i}: invalid mass {row[-1]!r}")
+        cleaned.append(row)
+    return np.array(cleaned, dtype=float).reshape(-1, width)
+
+
+def _merged(rows: np.ndarray, normalize: bool, item: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """Drop zero masses, merge duplicate keys, and rescale the masses to total 1.
+
+    A raw total further than INPUT_MASS_TOL from 1 is rejected unless
+    ``normalize``; a total within MASS_TOL of 1 is kept bit-exact.
+    """
+    rows = rows[rows[:, -1] > 0.0]
+    if not rows.size:
+        raise EmptyDistribution(f"no {item} carries positive mass")
+    keys, mass = _grouped(list(rows[:, :-1].T), rows[:, -1])
+    total = _fsum(mass)
+    if abs(total - 1.0) > INPUT_MASS_TOL and not normalize:
+        raise NotNormalizable(
+            f"masses sum to {total!r}; pass normalize=True to rescale"
+        )
+    if abs(total - 1.0) > MASS_TOL:
+        mass = mass / total
+        if not mass.all():
+            raise ValidationError(f"rescaling by {total!r} underflows a mass to 0")
+    return keys, mass
 
 
 def make_joint(
@@ -134,35 +271,9 @@ def make_joint(
         NotNormalizable: if the raw total is off by more than 1e-9 and
             normalization was not requested.
     """
-    cleaned: list[tuple[float, float, float]] = []
-    for i, atom in enumerate(raw_atoms):
-        try:
-            x, y, p = atom
-            x, y, p = float(x), float(y), float(p)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"atom {i}: expected an (x, y, p) triple") from exc
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError(f"atom {i}: non-finite support value")
-        if not math.isfinite(p) or p < 0.0:
-            raise ValidationError(f"atom {i}: invalid mass {p!r}")
-        cleaned.append((x, y, p))
-
-    merged: dict[tuple[float, float], list[float]] = {}
-    for x, y, p in cleaned:
-        if p > 0.0:
-            merged.setdefault((x, y), []).append(p)
-    if not merged:
-        raise EmptyDistribution("no atom carries positive mass")
-
-    group_mass = {key: math.fsum(ps) for key, ps in merged.items()}
-    total = math.fsum(group_mass.values())
-    if abs(total - 1.0) > INPUT_MASS_TOL and not normalize:
-        raise NotNormalizable(
-            f"masses sum to {total!r}; pass normalize=True to rescale"
-        )
-    scale = total if abs(total - 1.0) > MASS_TOL else 1.0  # already-normalized input is kept bit-exact
-    atoms = tuple((x, y, group_mass[(x, y)] / scale) for x, y in sorted(group_mass))
-    return FiniteJointDistribution(atoms)
+    rows = _checked_rows(raw_atoms, 3, "atom", "an (x, y, p) triple", "support value")
+    (x, y), p = _merged(rows, normalize, "atom")
+    return FiniteJointDistribution._from_columns(x, y, p)
 
 
 def make_marginal(
@@ -170,51 +281,21 @@ def make_marginal(
     normalize: bool = False,
 ) -> FiniteMarginal:
     """Build a marginal from raw (value, mass) pairs; same rules as make_joint."""
-    cleaned: list[tuple[float, float]] = []
-    for i, point in enumerate(raw_points):
-        try:
-            v, p = point
-            v, p = float(v), float(p)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"point {i}: expected a (value, p) pair") from exc
-        if not math.isfinite(v):
-            raise ValidationError(f"point {i}: non-finite value")
-        if not math.isfinite(p) or p < 0.0:
-            raise ValidationError(f"point {i}: invalid mass {p!r}")
-        cleaned.append((v, p))
-
-    merged: dict[float, list[float]] = {}
-    for v, p in cleaned:
-        if p > 0.0:
-            merged.setdefault(v, []).append(p)
-    if not merged:
-        raise EmptyDistribution("no point carries positive mass")
-
-    group_mass = {v: math.fsum(ps) for v, ps in merged.items()}
-    total = math.fsum(group_mass.values())
-    if abs(total - 1.0) > INPUT_MASS_TOL and not normalize:
-        raise NotNormalizable(
-            f"masses sum to {total!r}; pass normalize=True to rescale"
-        )
-    scale = total if abs(total - 1.0) > MASS_TOL else 1.0
-    points = tuple((v, group_mass[v] / scale) for v in sorted(group_mass))
-    return FiniteMarginal(points)
+    rows = _checked_rows(raw_points, 2, "point", "a (value, p) pair", "value")
+    (values,), masses = _merged(rows, normalize, "point")
+    return FiniteMarginal._from_columns(values, masses)
 
 
 def marginal_x(j: FiniteJointDistribution) -> FiniteMarginal:
     """X-marginal of a joint: masses aggregated over the y coordinate."""
-    groups: dict[float, list[float]] = {}
-    for x, _, p in j.atoms:
-        groups.setdefault(x, []).append(p)
-    return FiniteMarginal(tuple((v, math.fsum(ps)) for v, ps in sorted(groups.items())))
+    (values,), masses = _grouped([j.x], j.p)
+    return FiniteMarginal._from_columns(values, masses)
 
 
 def marginal_y(j: FiniteJointDistribution) -> FiniteMarginal:
     """Y-marginal of a joint: masses aggregated over the x coordinate."""
-    groups: dict[float, list[float]] = {}
-    for _, y, p in j.atoms:
-        groups.setdefault(y, []).append(p)
-    return FiniteMarginal(tuple((v, math.fsum(ps)) for v, ps in sorted(groups.items())))
+    (values,), masses = _grouped([j.y], j.p)
+    return FiniteMarginal._from_columns(values, masses)
 
 
 def product_joint(
@@ -259,17 +340,16 @@ def apply_transform(
     support value of both coordinates.  Atoms that collide after mapping
     are merged.
     """
-    table = {t: _transform_value(phi, t) for t in {v for x, y, _ in j.atoms for v in (x, y)}}
-    groups: dict[tuple[float, float], list[float]] = {}
-    for x, y, p in j.atoms:
-        groups.setdefault((table[x], table[y]), []).append(p)
-    atoms = tuple((x, y, math.fsum(ps)) for (x, y), ps in sorted(groups.items()))
-    return FiniteJointDistribution(atoms)
+    support = {v for pair in zip(j.x.tolist(), j.y.tolist()) for v in pair}
+    table = {t: _transform_value(phi, t) for t in support}
+    mapped = [np.array([table[t] for t in column.tolist()]) for column in (j.x, j.y)]
+    (x, y), p = _grouped(mapped, j.p)
+    return FiniteJointDistribution(np.column_stack((x, y, p)))
 
 
 def swap(j: FiniteJointDistribution) -> FiniteJointDistribution:
     """The same joint with the two coordinates exchanged."""
-    return FiniteJointDistribution(tuple(sorted((y, x, p) for x, y, p in j.atoms)))
+    return FiniteJointDistribution(np.column_stack((j.y, j.x, j.p)))
 
 
 def expectation(m: FiniteMarginal) -> float:

@@ -10,6 +10,7 @@ there is no hidden entropy anywhere in this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,13 @@ class SeededStream:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if seed is None or not 0 <= seed < 2**64:
             raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
@@ -87,13 +93,11 @@ def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> Pa
     """Draw n i.i.d. pairs from a finite joint by inverse cdf on the atom index."""
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
-    xs = np.asarray([a[0] for a in j.atoms])
-    ys = np.asarray([a[1] for a in j.atoms])
-    cum = np.cumsum(np.asarray([a[2] for a in j.atoms]))
+    cum = np.cumsum(j.p)
     cum[-1] = 1.0  # guard against rounding in the final cumulative mass
     u = stream.rng().random(n)
     idx = np.searchsorted(cum, u, side="right")
-    return PairedSample(xs[idx], ys[idx])
+    return PairedSample(j.x[idx], j.y[idx])
 
 
 def _pair_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:

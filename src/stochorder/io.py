@@ -10,9 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from operator import itemgetter
 
 from .distributions import FiniteJointDistribution, GridDensityPair, PairedSample, make_joint
 from .errors import InputFormatError
+
+_XYP = itemgetter("x", "y", "p")
 
 
 def read_joint_json(path) -> FiniteJointDistribution:
@@ -23,16 +26,20 @@ def read_joint_json(path) -> FiniteJointDistribution:
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("atoms"), list):
         raise InputFormatError(f'{path}: expected an object of the form {{"atoms": [...]}}')
-    raw = []
-    for i, entry in enumerate(doc["atoms"]):
-        if not isinstance(entry, dict) or not {"x", "y", "p"} <= set(entry):
-            raise InputFormatError(f"{path}: atom {i}: expected an object with x, y and p")
-        raw.append((entry["x"], entry["y"], entry["p"]))
+    try:
+        raw = list(map(_XYP, doc["atoms"]))
+    except (KeyError, TypeError):  # the entry-by-entry check runs only to name the bad entry
+        for i, entry in enumerate(doc["atoms"]):
+            if not isinstance(entry, dict) or not {"x", "y", "p"} <= set(entry):
+                msg = f"{path}: atom {i}: expected an object with x, y and p"
+                raise InputFormatError(msg) from None
+        raise
     return make_joint(raw)
 
 
 def write_joint_json(path, j: FiniteJointDistribution) -> None:
-    doc = {"atoms": [{"x": x, "y": y, "p": p} for x, y, p in j.atoms]}
+    columns = zip(j.x.tolist(), j.y.tolist(), j.p.tolist())
+    doc = {"atoms": [{"x": x, "y": y, "p": p} for x, y, p in columns]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -17,14 +17,19 @@ Four orders are provided:
   convergence in probability and takes values in [0, 1)), damping the
   influence of large differences.
 
-Atoms with x == y contribute to neither side of a decomposition.
+Atoms with x == y contribute to neither side of a decomposition.  Every
+term is a ``math.fsum`` over a per-atom column of d = y - x, masked to one
+side.  A difference that overflows to infinity contributes its limit p to
+K*, and an infinite L1 term, which leaves the cp-L1 verdict inconclusive.
 """
 
 from __future__ import annotations
 
 import math
 
-from .distributions import FiniteJointDistribution
+import numpy as np
+
+from .distributions import FiniteJointDistribution, _fsum
 from .verdicts import (
     ComparisonReport,
     DecompositionReport,
@@ -41,12 +46,23 @@ def _nearly_equal(a: float, b: float) -> bool:
     return abs(a - b) <= EQUALITY_RTOL * max(abs(a), abs(b))
 
 
+def _sides(j: FiniteJointDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-atom d = y - x with the masks of {X < Y} and {X > Y}."""
+    with np.errstate(over="ignore"):  # an overflow to +-inf keeps the sign of the difference
+        d = j.y - j.x
+    return d, d > 0.0, d < 0.0
+
+
+def _kstar(p: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Per-atom p * dist / (1 + dist); an infinite distance counts as its limit 1."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(dist), p, p * dist / (1.0 + dist))
+
+
 def event_probs(j: FiniteJointDistribution) -> EventProbs:
     """Probabilities of {X < Y}, {X = Y} and {X > Y}."""
-    less = math.fsum(p for x, y, p in j.atoms if x < y)
-    equal = math.fsum(p for x, y, p in j.atoms if x == y)
-    greater = math.fsum(p for x, y, p in j.atoms if x > y)
-    return EventProbs(less, equal, greater)
+    d, below, above = _sides(j)
+    return EventProbs(_fsum(j.p[below]), _fsum(j.p[d == 0.0]), _fsum(j.p[above]))
 
 
 def verdict_sp_from_probs(p_less: float, p_equal: float, p_greater: float) -> Verdict:
@@ -86,9 +102,7 @@ def verdict_mean_from_means(mean_x: float, mean_y: float) -> Verdict:
 
 def compare_mean(j: FiniteJointDistribution) -> Verdict:
     """Mean order on a finite joint."""
-    mean_x = math.fsum(x * p for x, _, p in j.atoms)
-    mean_y = math.fsum(y * p for _, y, p in j.atoms)
-    return verdict_mean_from_means(mean_x, mean_y)
+    return verdict_mean_from_means(_fsum(j.x * j.p), _fsum(j.y * j.p))
 
 
 def decomposition_from_terms(below: float, above: float, metric: str) -> DecompositionReport:
@@ -100,16 +114,16 @@ def decomposition_from_terms(below: float, above: float, metric: str) -> Decompo
 
 def l1_decompose(j: FiniteJointDistribution) -> DecompositionReport:
     """Split E|X - Y| into its {X < Y} and {X > Y} contributions."""
-    below = math.fsum((y - x) * p for x, y, p in j.atoms if x < y)
-    above = math.fsum((x - y) * p for x, y, p in j.atoms if x > y)
-    return decomposition_from_terms(below, above, "L1")
+    d, below, above = _sides(j)
+    below_term = _fsum(d[below] * j.p[below])
+    return decomposition_from_terms(below_term, _fsum(-d[above] * j.p[above]), "L1")
 
 
 def kstar_decompose(j: FiniteJointDistribution) -> DecompositionReport:
     """Split E(|X-Y| / (1 + |X-Y|)) into its {X < Y} and {X > Y} contributions."""
-    below = math.fsum(p * (y - x) / (1.0 + (y - x)) for x, y, p in j.atoms if x < y)
-    above = math.fsum(p * (x - y) / (1.0 + (x - y)) for x, y, p in j.atoms if x > y)
-    return decomposition_from_terms(below, above, "K*")
+    d, below, above = _sides(j)
+    below_term = _fsum(_kstar(j.p[below], d[below]))
+    return decomposition_from_terms(below_term, _fsum(_kstar(j.p[above], -d[above])), "K*")
 
 
 def verdict_from_decomposition(report: DecompositionReport) -> Verdict:

@@ -106,8 +106,9 @@ class DecompositionReport:
                 1.0, abs(self.total)
             ):
                 raise ValidationError("decomposition terms do not add up to the total")
-            if self.metric == "K*" and not 0.0 <= self.total < 1.0:
-                raise ValidationError(f"K* total {self.total!r} outside [0, 1)")
+            # |d| / (1 + |d|) < 1 exactly, but rounds to 1.0 once |d| exceeds 2**53
+            if self.metric == "K*" and not 0.0 <= self.total <= 1.0:
+                raise ValidationError(f"K* total {self.total!r} outside [0, 1]")
         defined = math.isfinite(self.total) and self.total > 0.0
         if (self.normalized_below is None) == defined:
             raise ValidationError("normalized_below must be set iff total is finite and > 0")

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from stochorder import (
+    EmptyDistribution,
     FiniteJointDistribution,
     FiniteMarginal,
     GridDensityPair,
+    NotNormalizable,
+    ValidationError,
     make_joint,
     make_marginal,
     product_joint,
 )
+from stochorder.distributions import INPUT_MASS_TOL, MASS_TOL
 
 
 def random_marginal(rng: np.random.Generator, max_support: int = 6) -> FiniteMarginal:
@@ -42,6 +46,65 @@ def direct_l1(j: FiniteJointDistribution) -> float:
 def direct_kstar(j: FiniteJointDistribution) -> float:
     """Brute-force E(|X-Y| / (1 + |X-Y|)) in a single pass over all atoms."""
     return math.fsum(p * abs(x - y) / (1.0 + abs(x - y)) for x, y, p in j.atoms)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-atom dict-and-fsum exact path, kept as plain
+# functions over (x, y, p) tuples so the columnar engine can be checked
+# against it bit for bit.
+
+def oracle_make_joint(raw_atoms, normalize=False):
+    """Atoms of ``make_joint(raw_atoms, normalize)``: merged, sorted, rescaled.
+
+    Raises the same exception types as ``make_joint``.
+    """
+    cleaned = []
+    for i, atom in enumerate(raw_atoms):
+        try:
+            x, y, p = atom
+            x, y, p = float(x), float(y), float(p)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"atom {i}: expected an (x, y, p) triple") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"atom {i}: non-finite support value")
+        if not math.isfinite(p) or p < 0.0:
+            raise ValidationError(f"atom {i}: invalid mass {p!r}")
+        cleaned.append((x, y, p))
+    merged = {}
+    for x, y, p in cleaned:
+        if p > 0.0:
+            merged.setdefault((x, y), []).append(p)
+    if not merged:
+        raise EmptyDistribution("no atom carries positive mass")
+    group_mass = {key: math.fsum(ps) for key, ps in merged.items()}
+    total = math.fsum(group_mass.values())
+    if abs(total - 1.0) > INPUT_MASS_TOL and not normalize:
+        raise NotNormalizable(f"masses sum to {total!r}")
+    scale = total if abs(total - 1.0) > MASS_TOL else 1.0
+    return tuple((x, y, group_mass[(x, y)] / scale) for x, y in sorted(group_mass))
+
+
+def oracle_marginal(atoms, axis):
+    """Points of the marginal on coordinate ``axis`` (0 for x, 1 for y)."""
+    groups = {}
+    for atom in atoms:
+        groups.setdefault(atom[axis], []).append(atom[2])
+    return tuple((v, math.fsum(ps)) for v, ps in sorted(groups.items()))
+
+
+def oracle_terms(atoms):
+    """The nine exact terms reported by ``compare_all``."""
+    return {
+        "p_less": math.fsum(p for x, y, p in atoms if x < y),
+        "p_equal": math.fsum(p for x, y, p in atoms if x == y),
+        "p_greater": math.fsum(p for x, y, p in atoms if x > y),
+        "l1_below": math.fsum((y - x) * p for x, y, p in atoms if x < y),
+        "l1_above": math.fsum((x - y) * p for x, y, p in atoms if x > y),
+        "kstar_below": math.fsum(p * (y - x) / (1.0 + (y - x)) for x, y, p in atoms if x < y),
+        "kstar_above": math.fsum(p * (x - y) / (1.0 + (x - y)) for x, y, p in atoms if x > y),
+        "mean_x": math.fsum(x * p for x, _, p in atoms),
+        "mean_y": math.fsum(y * p for _, y, p in atoms),
+    }
 
 
 def gaussian_mixture_density(rng: np.random.Generator, grid: np.ndarray) -> np.ndarray:

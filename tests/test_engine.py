@@ -1,0 +1,131 @@
+"""The columnar exact engine against the per-atom reference oracle."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochorder import (
+    EmptyDistribution,
+    FiniteJointDistribution,
+    InputFormatError,
+    ValidationError,
+    compare_all,
+    make_joint,
+    marginal_x,
+    marginal_y,
+    read_joint_json,
+)
+
+from conftest import oracle_make_joint, oracle_marginal, oracle_terms
+
+#: Coordinates that collide: signed zeros and ties 1e-12 apart.
+EDGE_COORDS = [0.0, -0.0, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e-12, -1e-12, 2.0]
+COORDS = st.one_of(st.sampled_from(EDGE_COORDS), st.floats(-1e3, 1e3, allow_nan=False))
+MASSES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5]), st.floats(1e-6, 1.0))
+
+
+def _flip_zero(v: float, flip: bool) -> float:
+    return -v if flip and v == 0.0 else v
+
+
+@st.composite
+def raw_atoms(draw):
+    """Atoms with zero masses and repeated (x, y) keys, some repeats with flipped zero signs."""
+    base = draw(st.lists(st.tuples(COORDS, COORDS, MASSES), min_size=1, max_size=10))
+    repeats = draw(
+        st.lists(st.tuples(st.integers(0, len(base) - 1), MASSES, st.booleans()), max_size=8)
+    )
+    extra = [
+        (_flip_zero(base[i][0], flip), _flip_zero(base[i][1], not flip), p)
+        for i, p, flip in repeats
+    ]
+    return base + extra
+
+
+def _terms(report) -> dict:
+    return {
+        "p_less": report.probs.p_less,
+        "p_equal": report.probs.p_equal,
+        "p_greater": report.probs.p_greater,
+        "l1_below": report.l1.below_term,
+        "l1_above": report.l1.above_term,
+        "kstar_below": report.kstar.below_term,
+        "kstar_above": report.kstar.above_term,
+        "mean_x": report.mean.evidence["mean_x"],
+        "mean_y": report.mean.evidence["mean_y"],
+    }
+
+
+@given(raw=raw_atoms())
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_oracle_bit_for_bit(raw):
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    try:
+        want = oracle_make_joint(raw, normalize=True)
+    except EmptyDistribution:
+        with pytest.raises(EmptyDistribution):
+            make_joint(raw, normalize=True)
+        return
+    j = make_joint(raw, normalize=True)
+    assert repr(j.atoms) == repr(want)
+    assert repr(FiniteJointDistribution(want).atoms) == repr(want)
+    assert repr(marginal_x(j).points) == repr(oracle_marginal(want, 0))
+    assert repr(marginal_y(j).points) == repr(oracle_marginal(want, 1))
+    assert repr(_terms(compare_all(j))) == repr(oracle_terms(want))
+
+
+def _large_raw(n: int = 160_000) -> list:
+    return [(float(i % 1000), float(i % 777), 1.0 / n) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1.0, 2.0, "heavy"), r"atom 150000: expected an \(x, y, p\) triple"),
+        ((1.0, 2.0, -0.5), r"atom 150000: invalid mass -0\.5"),
+        ((1.0, float("nan"), 0.5), r"atom 150000: non-finite support value"),
+    ],
+)
+def test_bad_atom_deep_in_large_input_is_named(bad, message):
+    raw = _large_raw()
+    raw[150_000] = bad
+    with pytest.raises(ValidationError, match=message):
+        make_joint(raw)
+
+
+def test_missing_key_deep_in_large_json_is_named(tmp_path):
+    entries = [{"x": x, "y": y, "p": p} for x, y, p in _large_raw()]
+    del entries[150_000]["p"]
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps({"atoms": entries}))
+    with pytest.raises(InputFormatError, match="atom 150000: expected an object with x, y and p"):
+        read_joint_json(path)
+
+
+class TestPublicConstructor:
+    def test_stores_atoms_sorted(self):
+        j = FiniteJointDistribution([(2.0, 0.0, 0.5), (1.0, 3.0, 0.25), (1.0, -3.0, 0.25)])
+        assert j.atoms == ((1.0, -3.0, 0.25), (1.0, 3.0, 0.25), (2.0, 0.0, 0.5))
+        assert j == make_joint(j.atoms)
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ([(0, 0, 0.5), (1, 1, 0.25), (0, 0, 0.25)], r"duplicate atom at \(0\.0, 0\.0\)"),
+            ([(0, 0.0, 0.5), (0, -0.0, 0.5)], r"duplicate atom at \(0\.0, -0\.0\)"),
+            ([(1, 1, 0.5), (0, float("inf"), 0.0), (1, 1, 0.5)], r"\(0\.0, inf\) is not finite"),
+            ([(0, 0, 0.0), (0, 0, 1.0)], r"mass 0\.0 at \(0\.0, 0\.0\) must be positive"),
+            ([(0, 0, 0.5), (1, 1, 0.25)], "joint: masses sum to 0.75, not 1"),
+        ],
+    )
+    def test_reports_the_first_bad_atom(self, atoms, message):
+        with pytest.raises(ValidationError, match=message):
+            FiniteJointDistribution(atoms)
+
+    def test_columns_are_read_only(self):
+        j = make_joint([(0.0, 1.0, 0.5), (2.0, 1.0, 0.5)])
+        with pytest.raises(ValueError):
+            j.p[0] = 1.0
+        assert type(j.atoms[0][0]) is float

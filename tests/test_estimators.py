@@ -39,6 +39,15 @@ class TestSeededStream:
         with pytest.raises(ValidationError):
             SeededStream(2**64)
 
+    def test_numpy_integer_seeds(self):
+        s = SeededStream(np.int64(3))
+        assert s == SeededStream(3) and type(s.seed) is int
+        assert s.rng().random(3).tolist() == SeededStream(3).rng().random(3).tolist()
+        assert SeededStream(np.uint64(2**64 - 1)).seed == 2**64 - 1
+        for bad in (np.int64(-1), np.float64(3.0), 3.0):
+            with pytest.raises(ValidationError):
+                SeededStream(bad)
+
 
 class TestSampleJoint:
     def test_single_atom_all_identical(self):

@@ -312,3 +312,20 @@ class TestCompareAll:
         assert doc["probs"] == {"p_less": 0.4, "p_equal": 0.0, "p_greater": 0.6}
         assert doc["l1"]["below"] == pytest.approx(399.6)
         assert doc["sp"]["preferred"] == "X"
+
+
+class TestKstarAtNumericEdges:
+    def test_overflowing_distance_counts_as_one(self):
+        # 1e308 - (-1e308) overflows to inf; |d| / (1 + |d|) tends to 1 there
+        j = make_joint([(1e308, -1e308, 0.5), (0.0, 1.0, 0.5)])
+        d = kstar_decompose(j)
+        assert d.above_term == pytest.approx(0.5, rel=1e-15)
+        assert d.below_term == 0.25
+        assert compare_cp_kstar(j).outcome is Outcome.SECOND_PRECEDES
+        assert compare_cp_l1(j).outcome is Outcome.INCONCLUSIVE
+
+    def test_distance_that_rounds_to_one(self):
+        # 1e17 / (1 + 1e17) rounds to exactly 1.0
+        d = kstar_decompose(make_joint([(0.0, 1e17, 1.0)]))
+        assert (d.below_term, d.above_term, d.total) == (1.0, 0.0, 1.0)
+        assert verdict_from_decomposition(d).outcome is Outcome.FIRST_PRECEDES
