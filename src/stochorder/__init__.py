@@ -40,10 +40,8 @@ from .estimators import (
     sample_joint,
 )
 from .io import (
-    read_grid_json,
     read_joint_json,
     read_sample_csv,
-    write_grid_json,
     write_joint_json,
     write_sample_csv,
 )
@@ -127,7 +125,6 @@ __all__ = [
     "marginal_x",
     "marginal_y",
     "product_joint",
-    "read_grid_json",
     "read_joint_json",
     "read_sample_csv",
     "sample_example4",
@@ -137,7 +134,6 @@ __all__ = [
     "verify_dice",
     "verify_example4",
     "verify_fixture",
-    "write_grid_json",
     "write_joint_json",
     "write_sample_csv",
 ]

@@ -56,7 +56,7 @@ def _check_total(total: float, what: str) -> None:
 
 
 def _fsum(column: np.ndarray) -> float:
-    return math.fsum(column.tolist())
+    return math.fsum(memoryview(column))  # reads the buffer; builds no list of floats
 
 
 def _grouped(keys: list[np.ndarray], p: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -72,7 +72,7 @@ def _grouped(keys: list[np.ndarray], p: np.ndarray) -> tuple[list[np.ndarray], n
     ends = np.r_[starts[1:], p.size]
     mass = p[starts]
     shared = np.flatnonzero(ends - starts > 1)
-    masses = p.tolist()
+    masses = memoryview(p)
     bounds = zip(starts[shared].tolist(), ends[shared].tolist())
     mass[shared] = [math.fsum(masses[a:b]) for a, b in bounds]
     return [k[starts] for k in keys], mass

@@ -1,31 +1,30 @@
 """Sampling and plug-in statistical estimation of the precedence orders.
 
-Every population quantity used by the joint-law orders is a mean of a
-per-pair transform, so the plug-in estimate is the sample mean of that
-transform and confidence intervals come from a seeded percentile bootstrap
-over resampled pairs.  All randomness flows through :class:`SeededStream`;
-there is no hidden entropy anywhere in this module.
+The plug-in estimate is the exact engine run on the empirical joint: the
+distinct pairs of the sample, each weighted by its frequency, go through
+:func:`~stochorder.precedence.compare_all` unchanged.  Confidence intervals
+come from a seeded percentile bootstrap that weighs the same per-atom table
+of :mod:`~stochorder.precedence`, with unit weights, by resampled counts.
+All randomness flows through :class:`SeededStream`; there is no hidden
+entropy anywhere in this module.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FiniteJointDistribution, PairedSample
+from .distributions import FiniteJointDistribution, PairedSample, _grouped
 from .errors import InvalidEpsilon, SampleTooSmall, ValidationError
-from .precedence import (
-    decomposition_from_terms,
-    verdict_from_decomposition,
-    verdict_mean_from_means,
-    verdict_sp_from_probs,
-)
-from .verdicts import ComparisonReport, EventProbs
+from .precedence import _report, _table, _terms
+from .verdicts import ComparisonReport
 
-#: Names of the estimated quantities, in column order.
+#: Names of the estimated quantities, in column order: six joint-law terms,
+#: then E(Y) - E(X).
 QUANTITIES = (
     "p_less",
     "p_greater",
@@ -100,45 +99,44 @@ def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> Pa
     return PairedSample(j.x[idx], j.y[idx])
 
 
-def _pair_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-pair transforms whose means are the estimated quantities."""
-    d = y - x
-    below = d > 0.0
-    above = d < 0.0
-    cols = np.zeros((x.size, len(QUANTITIES)))
-    cols[:, 0] = below
-    cols[:, 1] = above
-    cols[below, 2] = d[below]
-    cols[above, 3] = -d[above]
-    cols[below, 4] = d[below] / (1.0 + d[below])
-    cols[above, 5] = -d[above] / (1.0 - d[above])
-    cols[:, 6] = d
-    return cols
+def _quantities(terms: dict) -> list:
+    """The estimated quantities, in QUANTITIES order, from joint-law terms.
 
-
-def _bootstrap_stats(
-    x: np.ndarray, y: np.ndarray, cols: np.ndarray, rng: np.random.Generator, n_boot: int
-) -> np.ndarray:
-    """Bootstrap replicates of the quantity vector, shape (n_boot, 7).
-
-    The statistics depend on the resample only through its empirical
-    measure, so resampling rows with replacement is equivalent to drawing
-    multinomial counts over the distinct pairs.  With few distinct pairs
-    that path is far cheaper; otherwise plain index resampling is used.
+    E(Y) - E(X) is taken as l1_below - l1_above, since the difference of the
+    two means cancels catastrophically when the pairs sit far from 0.
     """
-    n = x.size
-    keys = x + 1j * y  # pack each pair into one sortable key
-    uniq, counts = np.unique(keys, return_counts=True)
-    if uniq.size <= _MULTINOMIAL_CUTOFF:
-        distinct = _pair_columns(uniq.real.copy(), uniq.imag.copy())
+    return [terms[name] for name in QUANTITIES[:-1]] + [terms["l1_below"] - terms["l1_above"]]
+
+
+def _bootstrap_terms(
+    sample: PairedSample,
+    pairs: list[np.ndarray],
+    counts: np.ndarray,
+    rng: np.random.Generator,
+    n_boot: int,
+) -> dict[str, np.ndarray]:
+    """Bootstrap replicates of the joint-law terms behind QUANTITIES, ``n_boot`` each.
+
+    Each replicate weighs the per-pair transforms (the table at ``w = 1``)
+    by resampled counts.  The terms depend on the resample only through its
+    empirical measure, so resampling pairs with replacement is equivalent to
+    drawing multinomial counts over the distinct ``pairs``.  With few
+    distinct pairs that path is far cheaper; otherwise plain index
+    resampling over the sample's pairs is used.
+    """
+    n = sample.n
+    names = QUANTITIES[:-1]  # mean_diff is derived from l1_below and l1_above
+    if counts.size <= _MULTINOMIAL_CUTOFF:
+        table = _table(*pairs, np.ones(counts.size))
         weights = rng.multinomial(n, counts / n, size=n_boot).astype(float)
-        return (weights @ distinct) / n
-    out = np.empty((n_boot, len(QUANTITIES)))
+        return {name: (weights @ table[name]) / n for name in names}
+    table = _table(sample.x, sample.y, np.ones(n))
+    out = np.empty((len(names), n_boot))
     for b in range(n_boot):
         idx = rng.integers(0, n, n)
         w = np.bincount(idx, minlength=n).astype(float)
-        out[b] = (w @ cols) / n
-    return out
+        out[:, b] = [table[name] @ w for name in names]
+    return dict(zip(names, out / n))
 
 
 @dataclass(frozen=True)
@@ -177,12 +175,15 @@ def estimate_orders(
 ) -> EstimateReport:
     """Estimate all joint-law order quantities from paired observations.
 
-    Point estimates are the empirical analogues (sample means of per-pair
-    transforms); intervals are seeded percentile-bootstrap over resampled
-    pairs.  ``mean_diff`` estimates E(Y) - E(X).
+    Point estimates and verdicts are those of ``compare_all`` on the
+    empirical joint (distinct pairs weighted by their frequencies);
+    intervals are seeded percentile-bootstrap over resampled pairs.
+    ``mean_diff`` estimates E(Y) - E(X).
 
     Raises:
         SampleTooSmall: if fewer than 2 pairs are available.
+        ValidationError: if y - x overflows for some pair (the message
+            names the first).
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
@@ -192,9 +193,18 @@ def estimate_orders(
         raise SampleTooSmall("confidence intervals require at least 2 pairs")
     stream = stream if stream is not None else SeededStream(0)
 
-    cols = _pair_columns(sample.x, sample.y)
-    points = cols.mean(axis=0)
-    stats = _bootstrap_stats(sample.x, sample.y, cols, stream.rng(), bootstrap)
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(sample.y - sample.x)
+    if overflow.any():  # the bootstrap would weigh an infinite term by 0
+        i = int(np.argmax(overflow))
+        x, y = float(sample.x[i]), float(sample.y[i])
+        raise ValidationError(f"pair {i}: y - x overflows at ({x!r}, {y!r})")
+
+    pairs, counts = _grouped([sample.x, sample.y], np.ones(sample.n))
+    terms = _terms(FiniteJointDistribution._from_columns(*pairs, counts / sample.n))
+    points = np.array(_quantities(terms))
+    replicates = _bootstrap_terms(sample, pairs, counts, stream.rng(), bootstrap)
+    stats = np.column_stack(_quantities(replicates))
     alpha = 100.0 * (1.0 - level) / 2.0
     lo = np.percentile(stats, alpha, axis=0)
     hi = np.percentile(stats, 100.0 - alpha, axis=0)
@@ -206,30 +216,13 @@ def estimate_orders(
         name: EstimateWithCI(float(points[i]), float(lo[i]), float(hi[i]), level, sample.n)
         for i, name in enumerate(QUANTITIES)
     }
-
-    p_less, p_greater = float(points[0]), float(points[1])
-    p_equal = float(np.mean(sample.x == sample.y))
-    probs = EventProbs(p_less, p_equal, p_greater)
-    l1 = decomposition_from_terms(float(points[2]), float(points[3]), "L1")
-    kstar = decomposition_from_terms(float(points[4]), float(points[5]), "K*")
-    mean_x = float(np.mean(sample.x))
-    mean_y = float(np.mean(sample.y))
-    comparison = ComparisonReport(
-        sp=verdict_sp_from_probs(p_less, p_equal, p_greater),
-        mean=verdict_mean_from_means(mean_x, mean_y),
-        cp_l1=verdict_from_decomposition(l1),
-        cp_kstar=verdict_from_decomposition(kstar),
-        l1=l1,
-        kstar=kstar,
-        probs=probs,
-    )
     return EstimateReport(
         n=sample.n,
         level=level,
         bootstrap=bootstrap,
         seed=stream.seed,
         quantities=quantities,
-        comparison=comparison,
+        comparison=_report(terms),
     )
 
 
@@ -244,49 +237,30 @@ def band_triangle_densities(eps: float) -> tuple[float, float]:
     {0 <= x - y <= eps} inside the unit square and 2/eps on the triangle
     {y - x > 1 - eps}; zero elsewhere.
     """
-    if not (isinstance(eps, float) and math.isfinite(eps)) or not 0.0 < eps < 1.0:
+    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+    if not (real and 0.0 < eps < 1.0 and math.isfinite(eps)):
         raise InvalidEpsilon(f"eps must lie strictly between 0 and 1, got {eps!r}")
+    eps = float(eps)
     return (1.0 - eps) / (eps * (1.0 - eps / 2.0)), 2.0 / eps
 
 
-def _sample_band(eps: float, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform draws from the band, by rejection from the strip
-    x in (0,1), y in (x-eps, x]."""
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
+def _rejection(count: int, rng: np.random.Generator, batch, accept) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` uniform (u, v) proposals that ``accept(u, v)`` keeps.
+
+    Proposals are drawn in batches of ``batch(k)`` while k are still missing.
+    """
+    us: list[np.ndarray] = [np.empty(0)]  # a region may get no draws at all
+    vs: list[np.ndarray] = [np.empty(0)]
     got = 0
     while got < count:
-        m = max(int((count - got) / (1.0 - eps / 2.0) * 1.2) + 16, 16)
-        x = rng.random(m)
-        y = x - eps * rng.random(m)
-        keep = y > 0.0
-        xs.append(x[keep])
-        ys.append(y[keep])
-        got += int(np.count_nonzero(keep))
-    x = np.concatenate(xs)[:count]
-    y = np.concatenate(ys)[:count]
-    return x, y
-
-
-def _sample_triangle(
-    eps: float, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform draws from the triangle, by rejection from its bounding box
-    x in (0, eps), y in (1-eps, 1)."""
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    got = 0
-    while got < count:
-        m = max((count - got) * 2 + 16, 16)
+        m = batch(count - got)
         u = rng.random(m)
         v = rng.random(m)
-        keep = (v > u) & (u > 0.0)
+        keep = accept(u, v)
         us.append(u[keep])
         vs.append(v[keep])
         got += int(np.count_nonzero(keep))
-    u = np.concatenate(us)[:count]
-    v = np.concatenate(vs)[:count]
-    return eps * u, 1.0 - eps + eps * v
+    return np.concatenate(us)[:count], np.concatenate(vs)[:count]
 
 
 def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
@@ -298,6 +272,7 @@ def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
     1 - eps/2 for the band strip and 1/2 for the triangle box).
     """
     d_band, d_triangle = band_triangle_densities(eps)
+    eps = float(eps)
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
     band_mass = d_band * (eps - 0.5 * eps * eps)          # density x band area
@@ -310,6 +285,17 @@ def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
     n_band = int(np.count_nonzero(in_band))
     x = np.empty(n)
     y = np.empty(n)
-    x[in_band], y[in_band] = _sample_band(eps, n_band, rng)
-    x[~in_band], y[~in_band] = _sample_triangle(eps, n - n_band, rng)
+    # band: rejection from the strip x in (0, 1), y in (x - eps, x]
+    u, v = _rejection(
+        n_band,
+        rng,
+        batch=lambda k: int(k / (1.0 - eps / 2.0) * 1.2) + 16,
+        accept=lambda u, v: u - eps * v > 0.0,
+    )
+    x[in_band], y[in_band] = u, u - eps * v
+    # triangle: rejection from its bounding box x in (0, eps), y in (1 - eps, 1)
+    u, v = _rejection(
+        n - n_band, rng, batch=lambda k: 2 * k + 16, accept=lambda u, v: (v > u) & (u > 0.0)
+    )
+    x[~in_band], y[~in_band] = eps * u, 1.0 - eps + eps * v
     return PairedSample(x, y)

@@ -1,7 +1,6 @@
-"""File formats: joint JSON, grid JSON and paired-sample CSV.
+"""File formats: joint JSON and paired-sample CSV.
 
 Joint JSON: ``{"atoms": [{"x": <num>, "y": <num>, "p": <num>}, ...]}``.
-Grid JSON: ``{"grid": [...], "fx": [...], "fy": [...]}``.
 Sample CSV: header ``x,y``, one pair per row, decimal point, UTF-8.
 """
 
@@ -12,7 +11,7 @@ import json
 import math
 from operator import itemgetter
 
-from .distributions import FiniteJointDistribution, GridDensityPair, PairedSample, make_joint
+from .distributions import FiniteJointDistribution, PairedSample, make_joint
 from .errors import InputFormatError
 
 _XYP = itemgetter("x", "y", "p")
@@ -40,26 +39,6 @@ def read_joint_json(path) -> FiniteJointDistribution:
 def write_joint_json(path, j: FiniteJointDistribution) -> None:
     columns = zip(j.x.tolist(), j.y.tolist(), j.p.tolist())
     doc = {"atoms": [{"x": x, "y": y, "p": p} for x, y, p in columns]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def read_grid_json(path) -> GridDensityPair:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not all(
-        isinstance(doc.get(k), list) for k in ("grid", "fx", "fy")
-    ):
-        raise InputFormatError(f"{path}: expected arrays 'grid', 'fx' and 'fy'")
-    return GridDensityPair(doc["grid"], doc["fx"], doc["fy"])
-
-
-def write_grid_json(path, g: GridDensityPair) -> None:
-    doc = {"grid": list(map(float, g.grid)), "fx": list(map(float, g.fx)), "fy": list(map(float, g.fy))}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -18,8 +18,10 @@ Four orders are provided:
   influence of large differences.
 
 Atoms with x == y contribute to neither side of a decomposition.  Every
-term is a ``math.fsum`` over a per-atom column of d = y - x, masked to one
-side.  A difference that overflows to infinity contributes its limit p to
+term is the ``math.fsum`` of one column of a per-atom table, whose entries
+are the atoms' weighted contributions to that term; :func:`compare_all`
+builds the report from these sums, and every other function here reads
+it.  A difference that overflows to infinity contributes its limit p to
 K*, and an infinite L1 term, which leaves the cp-L1 verdict inconclusive.
 """
 
@@ -46,23 +48,41 @@ def _nearly_equal(a: float, b: float) -> bool:
     return abs(a - b) <= EQUALITY_RTOL * max(abs(a), abs(b))
 
 
-def _sides(j: FiniteJointDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-atom d = y - x with the masks of {X < Y} and {X > Y}."""
+def _table(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-atom contributions of weight ``w`` to each joint-law term.
+
+    Each term is the sum of its column.  With ``w`` the atom masses the sums
+    are the exact terms; with ``w = 1`` the columns hold the per-pair
+    transforms that a bootstrap weighs by resampled counts.
+    """
     with np.errstate(over="ignore"):  # an overflow to +-inf keeps the sign of the difference
-        d = j.y - j.x
-    return d, d > 0.0, d < 0.0
+        d = y - x
+    dist = np.abs(d)
+    below, above = d > 0.0, d < 0.0
+    l1 = dist * w
+    with np.errstate(invalid="ignore"):  # inf / inf: an infinite distance counts as its limit 1
+        kstar = np.where(np.isinf(dist), w, l1 / (1.0 + dist))
+    return {
+        "p_less": np.where(below, w, 0.0),
+        "p_equal": np.where(d == 0.0, w, 0.0),
+        "p_greater": np.where(above, w, 0.0),
+        "l1_below": np.where(below, l1, 0.0),
+        "l1_above": np.where(above, l1, 0.0),
+        "kstar_below": np.where(below, kstar, 0.0),
+        "kstar_above": np.where(above, kstar, 0.0),
+        "mean_x": x * w,
+        "mean_y": y * w,
+    }
 
 
-def _kstar(p: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Per-atom p * dist / (1 + dist); an infinite distance counts as its limit 1."""
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isinf(dist), p, p * dist / (1.0 + dist))
+def _terms(j: FiniteJointDistribution) -> dict[str, float]:
+    """The exact terms of a joint: the fsum of each column of its mass-weighted table."""
+    return {name: _fsum(column) for name, column in _table(j.x, j.y, j.p).items()}
 
 
 def event_probs(j: FiniteJointDistribution) -> EventProbs:
     """Probabilities of {X < Y}, {X = Y} and {X > Y}."""
-    d, below, above = _sides(j)
-    return EventProbs(_fsum(j.p[below]), _fsum(j.p[d == 0.0]), _fsum(j.p[above]))
+    return compare_all(j).probs
 
 
 def verdict_sp_from_probs(p_less: float, p_equal: float, p_greater: float) -> Verdict:
@@ -86,8 +106,7 @@ def verdict_sp_from_probs(p_less: float, p_equal: float, p_greater: float) -> Ve
 
 def compare_sp(j: FiniteJointDistribution) -> Verdict:
     """Stochastic precedence order on a finite joint."""
-    probs = event_probs(j)
-    return verdict_sp_from_probs(probs.p_less, probs.p_equal, probs.p_greater)
+    return compare_all(j).sp
 
 
 def verdict_mean_from_means(mean_x: float, mean_y: float) -> Verdict:
@@ -102,7 +121,7 @@ def verdict_mean_from_means(mean_x: float, mean_y: float) -> Verdict:
 
 def compare_mean(j: FiniteJointDistribution) -> Verdict:
     """Mean order on a finite joint."""
-    return verdict_mean_from_means(_fsum(j.x * j.p), _fsum(j.y * j.p))
+    return compare_all(j).mean
 
 
 def decomposition_from_terms(below: float, above: float, metric: str) -> DecompositionReport:
@@ -114,16 +133,12 @@ def decomposition_from_terms(below: float, above: float, metric: str) -> Decompo
 
 def l1_decompose(j: FiniteJointDistribution) -> DecompositionReport:
     """Split E|X - Y| into its {X < Y} and {X > Y} contributions."""
-    d, below, above = _sides(j)
-    below_term = _fsum(d[below] * j.p[below])
-    return decomposition_from_terms(below_term, _fsum(-d[above] * j.p[above]), "L1")
+    return compare_all(j).l1
 
 
 def kstar_decompose(j: FiniteJointDistribution) -> DecompositionReport:
     """Split E(|X-Y| / (1 + |X-Y|)) into its {X < Y} and {X > Y} contributions."""
-    d, below, above = _sides(j)
-    below_term = _fsum(_kstar(j.p[below], d[below]))
-    return decomposition_from_terms(below_term, _fsum(_kstar(j.p[above], -d[above])), "K*")
+    return compare_all(j).kstar
 
 
 def verdict_from_decomposition(report: DecompositionReport) -> Verdict:
@@ -147,25 +162,30 @@ def verdict_from_decomposition(report: DecompositionReport) -> Verdict:
 
 def compare_cp_l1(j: FiniteJointDistribution) -> Verdict:
     """Conditional L1 precedence order on a finite joint."""
-    return verdict_from_decomposition(l1_decompose(j))
+    return compare_all(j).cp_l1
 
 
 def compare_cp_kstar(j: FiniteJointDistribution) -> Verdict:
     """Conditional K* precedence order on a finite joint."""
-    return verdict_from_decomposition(kstar_decompose(j))
+    return compare_all(j).cp_kstar
 
 
-def compare_all(j: FiniteJointDistribution) -> ComparisonReport:
-    """All four joint-law verdicts plus the decompositions behind them."""
-    probs = event_probs(j)
-    l1 = l1_decompose(j)
-    kstar = kstar_decompose(j)
+def _report(terms: dict[str, float]) -> ComparisonReport:
+    """All four verdicts and their decompositions from the joint-law terms."""
+    probs = EventProbs(terms["p_less"], terms["p_equal"], terms["p_greater"])
+    l1 = decomposition_from_terms(terms["l1_below"], terms["l1_above"], "L1")
+    kstar = decomposition_from_terms(terms["kstar_below"], terms["kstar_above"], "K*")
     return ComparisonReport(
-        sp=verdict_sp_from_probs(probs.p_less, probs.p_equal, probs.p_greater),
-        mean=compare_mean(j),
+        sp=verdict_sp_from_probs(*probs),
+        mean=verdict_mean_from_means(terms["mean_x"], terms["mean_y"]),
         cp_l1=verdict_from_decomposition(l1),
         cp_kstar=verdict_from_decomposition(kstar),
         l1=l1,
         kstar=kstar,
         probs=probs,
     )
+
+
+def compare_all(j: FiniteJointDistribution) -> ComparisonReport:
+    """All four joint-law verdicts plus the decompositions behind them."""
+    return _report(_terms(j))

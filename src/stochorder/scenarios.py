@@ -277,6 +277,7 @@ class BandTriangleScenario:
 def example4_spec(eps: float) -> BandTriangleScenario:
     """Band-and-triangle scenario for a given eps in (0, 1)."""
     d_band, d_triangle = band_triangle_densities(eps)
+    eps = float(eps)
     return BandTriangleScenario(
         eps=eps,
         band_density=d_band,

@@ -117,6 +117,12 @@ class TestEstimate:
         csv_path.write_text("x,y\n1,2\n")
         assert main(["estimate", "--input", str(csv_path)]) == 2
 
+    def test_overflowing_pair_exits_2_naming_it(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("x,y\n1e308,-1e308\n0,1\n")
+        assert main(["estimate", "--input", str(csv_path)]) == 2
+        assert "pair 0: y - x overflows at (1e+308, -1e+308)" in capsys.readouterr().err
+
 
 class TestSample:
     def test_example4_writes_rows_in_unit_square(self, tmp_path, capsys):

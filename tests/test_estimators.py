@@ -1,6 +1,7 @@
 """Sampling, plug-in estimation and bootstrap confidence intervals."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stochorder import (
     sample_example4,
     sample_joint,
 )
+from stochorder.estimators import band_triangle_densities
 from stochorder.scenarios import example4_spec
 
 EX1 = make_joint([(1000.0, 999.0, 0.6), (0.0, 999.0, 0.4)])
@@ -70,22 +72,48 @@ class TestSampleJoint:
 
 class TestEstimateOrders:
     def test_points_match_plugin_joint(self, rng):
-        # oracle: the empirical law is itself a finite joint; the exact
-        # engine on it must reproduce every point estimate
+        # oracle: the empirical law is itself a finite joint, built here by
+        # counting pairs; the estimate is the exact engine on it, so every
+        # point and verdict must agree bit for bit
         x = rng.normal(size=500)
-        y = x + rng.normal(scale=0.5, size=500)
-        sample = PairedSample(x, y)
-        report = estimate_orders(sample, bootstrap=50, stream=SeededStream(3))
-        plugin = compare_all(make_joint(((a, b, 1.0 / 500) for a, b in sample.pairs()), normalize=True))
-        q = report.quantities
-        assert q["p_less"].point == pytest.approx(plugin.probs.p_less, abs=1e-12)
-        assert q["p_greater"].point == pytest.approx(plugin.probs.p_greater, abs=1e-12)
-        assert q["l1_below"].point == pytest.approx(plugin.l1.below_term, rel=1e-9)
-        assert q["l1_above"].point == pytest.approx(plugin.l1.above_term, rel=1e-9)
-        assert q["kstar_below"].point == pytest.approx(plugin.kstar.below_term, rel=1e-9)
-        assert q["kstar_above"].point == pytest.approx(plugin.kstar.above_term, rel=1e-9)
-        assert report.comparison.sp.outcome is plugin.sp.outcome
-        assert report.comparison.cp_l1.outcome is plugin.cp_l1.outcome
+        continuous = PairedSample(x, x + rng.normal(scale=0.5, size=500))
+        grid = make_joint([(float(a), float(b), 1.0 / 9.0) for a in range(3) for b in range(3)])
+        duplicated = sample_joint(grid, 3000, SeededStream(6))
+        for sample in (continuous, duplicated):
+            counts = Counter(sample.pairs())
+            plugin = compare_all(make_joint([(a, b, c / sample.n) for (a, b), c in counts.items()]))
+            report = estimate_orders(sample, bootstrap=50, stream=SeededStream(3))
+            assert report.comparison == plugin
+            points = {name: est.point for name, est in report.quantities.items()}
+            assert points == {
+                "p_less": plugin.probs.p_less,
+                "p_greater": plugin.probs.p_greater,
+                "l1_below": plugin.l1.below_term,
+                "l1_above": plugin.l1.above_term,
+                "kstar_below": plugin.kstar.below_term,
+                "kstar_above": plugin.kstar.above_term,
+                "mean_diff": plugin.l1.below_term - plugin.l1.above_term,
+            }
+
+    def test_mean_diff_keeps_precision_far_from_zero(self, rng):
+        x = 1e6 + 1e3 * rng.normal(size=3000)
+        sample = PairedSample(x, x + rng.normal(size=3000))
+        d = sample.y - sample.x
+        point = estimate_orders(sample, bootstrap=20).quantities["mean_diff"].point
+        assert point == pytest.approx(math.fsum(d) / d.size, rel=1e-12)
+
+    def test_overflowing_difference_names_the_pair(self):
+        sample = PairedSample(np.array([0.0, 1e308]), np.array([1.0, -1e308]))
+        with pytest.raises(ValidationError, match=r"pair 1: y - x overflows at \(1e\+308, -1e\+308\)"):
+            estimate_orders(sample)
+
+    def test_huge_finite_distance_counts_one_in_kstar(self):
+        # d / (1 + d) rounds to exactly 1 once d exceeds 2**53
+        sample = PairedSample(np.array([0.0, 1.0]), np.array([1e17, 2e17]))
+        report = estimate_orders(sample, bootstrap=50)
+        est = report.quantities["kstar_below"]
+        assert (est.point, est.ci_low, est.ci_high) == (1.0, 1.0, 1.0)
+        assert report.comparison.kstar.total == 1.0
 
     def test_empirical_decomposition_identity(self, rng):
         for _ in range(20):
@@ -156,9 +184,25 @@ class TestEstimateOrders:
 
 class TestSampleExample4:
     def test_invalid_eps(self):
-        for eps in (0.0, 1.0, -0.2, 1.5, float("nan")):
+        bad = (0.0, 1.0, -0.2, 1.5, float("nan"), True, np.float32("nan"), np.float64(1.5), "0.5")
+        for eps in bad:
             with pytest.raises(InvalidEpsilon):
                 sample_example4(eps, 10, SeededStream(0))
+
+    def test_a_region_may_get_no_draws(self):
+        # with eps near 0 (or 1) a single pair almost surely misses the
+        # triangle (or the band), which then draws nothing
+        for eps in (0.01, 0.99):
+            for seed in range(5):
+                assert sample_example4(eps, 1, SeededStream(seed)).n == 1
+
+    def test_numpy_eps_accepted(self):
+        assert band_triangle_densities(np.float32(0.5)) == band_triangle_densities(0.5)
+        a = sample_example4(np.float64(0.3), 1000, SeededStream(7))
+        b = sample_example4(0.3, 1000, SeededStream(7))
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        scn = example4_spec(np.float32(0.5))
+        assert type(scn.eps) is float and scn.eps == 0.5
 
     def test_support_strictly_inside_unit_square(self):
         s = sample_example4(0.4, 50_000, SeededStream(3))

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from stochorder import (
-    GridDensityPair,
     InputFormatError,
     PairedSample,
     ValidationError,
     make_joint,
-    read_grid_json,
     read_joint_json,
     read_sample_csv,
-    write_grid_json,
     write_joint_json,
     write_sample_csv,
 )
@@ -62,36 +59,6 @@ class TestJointJson:
         path.write_text('{"atoms": [{"x": 1, "y": 2, "p": -0.25}]}')
         with pytest.raises(ValidationError, match="atom 0"):
             read_joint_json(path)
-
-
-class TestGridJson:
-    def test_round_trip(self, tmp_path):
-        grid = np.linspace(0.0, 1.0, 21)
-        g = GridDensityPair(grid, np.ones(21), np.ones(21))
-        path = tmp_path / "grid.json"
-        write_grid_json(path, g)
-        loaded = read_grid_json(path)
-        assert np.array_equal(loaded.grid, g.grid)
-        assert np.array_equal(loaded.fx, g.fx)
-        assert np.array_equal(loaded.fy, g.fy)
-
-    def test_documented_shape(self, tmp_path):
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps({"grid": [0, 0.5, 1], "fx": [1, 1, 1], "fy": [1, 1, 1]}))
-        g = read_grid_json(path)
-        assert len(g) == 3
-
-    def test_missing_key(self, tmp_path):
-        path = tmp_path / "grid.json"
-        path.write_text('{"grid": [0, 1], "fx": [1, 1]}')
-        with pytest.raises(InputFormatError):
-            read_grid_json(path)
-
-    def test_validation_propagates(self, tmp_path):
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps({"grid": [0, 0.5, 1], "fx": [2, 2, 2], "fy": [1, 1, 1]}))
-        with pytest.raises(ValidationError):
-            read_grid_json(path)
 
 
 class TestSampleCsv:
