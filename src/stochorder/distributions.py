@@ -4,8 +4,6 @@ Three substrates cover everything the comparison engines consume:
 
 * :class:`FiniteJointDistribution` -- an atomic joint pmf, the exact
   substrate on which the precedence orders are computed in closed form.
-  It is stored as three read-only float64 columns ``x``, ``y`` and ``p``
-  sorted by (x, y); ``atoms`` is a tuple view of them built on first use.
 * :class:`GridDensityPair` -- two marginal densities tabulated on a shared
   grid, the substrate for the classical marginal-based partial orders on
   continuous laws.
@@ -14,12 +12,19 @@ Three substrates cover everything the comparison engines consume:
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
 
-Mass bookkeeping uses ``math.fsum`` throughout, which keeps the total-mass
-invariant (sum = 1 within 1e-12) independent of support size.  Building a
-joint or a marginal is one grouped reduction: a stable sort, group
-boundaries found with ``!=``, and ``fsum`` over each group that holds
-duplicates.  Inputs are converted and checked with numpy; only when a check
-fails does an atom-by-atom pass run, to name the first bad atom.
+Finite laws (a joint and a :class:`FiniteMarginal`) share one columnar core:
+sorted read-only float64 key columns (``x``, ``y`` or ``v``), a mass column
+``p``, and a tuple view (``atoms`` or ``points``) built on first use.  They
+share one check path too: rows are converted and checked with numpy, and a
+row-by-row pass runs only on failure, to name the first bad row by index
+and coordinates.  The builders ``make_joint``/``make_marginal`` then merge
+duplicates, drop zero masses and rescale; the public constructors instead
+demand positive masses, unique keys and a total within 1e-12 of 1.
+
+Mass bookkeeping uses ``math.fsum`` throughout, so the total-mass invariant
+(sum = 1 within 1e-12) holds at any support size.  Building a law is one
+grouped reduction: a stable sort, group boundaries found with ``!=``, and
+``fsum`` over each group that holds duplicates.
 """
 
 from __future__ import annotations
@@ -49,18 +54,24 @@ DENSITY_NORM_TOL = 1e-6
 #: Default cap on the number of atoms a product coupling may create.
 MAX_PRODUCT_ATOMS = 10_000_000
 
-
-def _check_total(total: float, what: str) -> None:
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValidationError(f"{what}: masses sum to {total!r}, not 1")
+#: Raw rows of each finite law: (width, item, shape, coordinate), as ``_checked_rows`` takes them.
+_ATOM = (3, "atom", "an (x, y, p) triple", "support value")
+_POINT = (2, "point", "a (value, p) pair", "value")
 
 
 def _fsum(column: np.ndarray) -> float:
     return math.fsum(memoryview(column))  # reads the buffer; builds no list of floats
 
 
-def _grouped(keys: list[np.ndarray], p: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Merge equal keys: the key columns of each group and its fsum'd mass.
+def _freeze(obj, names: Iterable[str], arrays: Iterable[np.ndarray]) -> None:
+    """Set ``arrays``, made read-only, as the attributes ``names`` of a frozen instance."""
+    for name, array in zip(names, arrays):
+        array.flags.writeable = False
+        object.__setattr__(obj, name, array)
+
+
+def _grouped(keys: list[np.ndarray], p: np.ndarray) -> list[np.ndarray]:
+    """Merge equal keys: the key columns of each group, then its fsum'd mass.
 
     Groups come out sorted by the keys, the first key primary.  Keys are
     compared with ``==``, so -0.0 joins 0.0; the stable sort keeps each
@@ -75,133 +86,12 @@ def _grouped(keys: list[np.ndarray], p: np.ndarray) -> tuple[list[np.ndarray], n
     masses = memoryview(p)
     bounds = zip(starts[shared].tolist(), ends[shared].tolist())
     mass[shared] = [math.fsum(masses[a:b]) for a, b in bounds]
-    return [k[starts] for k in keys], mass
+    return [k[starts] for k in keys] + [mass]
 
 
-@dataclass(frozen=True)
-class FiniteMarginal:
-    """A univariate pmf: (value, mass) points with strictly increasing values."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pts = tuple((float(v), float(p)) for v, p in self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
-            raise EmptyDistribution("marginal has no support points")
-        for v, p in pts:
-            if not math.isfinite(v):
-                raise ValidationError(f"support value {v!r} is not finite")
-            if not (math.isfinite(p) and p > 0.0):
-                raise ValidationError(f"mass {p!r} at value {v!r} must be positive and finite")
-        values = [v for v, _ in pts]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValidationError("support values must be strictly increasing")
-        _check_total(math.fsum(p for _, p in pts), "marginal")
-
-    @classmethod
-    def _from_columns(cls, values: np.ndarray, masses: np.ndarray) -> "FiniteMarginal":
-        """Wrap merged columns, sorted by value with positive masses, unchecked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "points", tuple(zip(values.tolist(), masses.tolist())))
-        return m
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.points)
-
-    @property
-    def masses(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.points)
-
-    def cdf(self, t):
-        """Right-continuous cdf at scalar or array ``t``."""
-        values = np.asarray(self.values)
-        cum = np.cumsum(np.asarray(self.masses))
-        arr = np.asarray(t, dtype=float)
-        idx = np.searchsorted(values, arr, side="right")
-        out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        return float(out) if arr.ndim == 0 else out
-
-
-def _as_rows(raw, width: int) -> np.ndarray | None:
-    """``raw`` as an (n, width) float array, or None where numpy cannot convert it."""
-    try:
-        rows = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return rows if rows.ndim == 2 and rows.shape[1] == width else None
-
-
-@dataclass(frozen=True, init=False, eq=False)
-class FiniteJointDistribution:
-    """Atomic joint pmf of a pair: (x, y, mass) atoms with unique (x, y).
-
-    The law is held as three read-only float64 columns ``x``, ``y`` and
-    ``p``, sorted by (x, y).  ``atoms`` is a tuple view of the same law as
-    (x, y, p) floats, built on first use.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-
-    def __init__(self, atoms: Iterable[tuple[float, float, float]]):
-        if not isinstance(atoms, (list, tuple, np.ndarray)):
-            atoms = list(atoms)
-        rows = _as_rows(atoms, 3)
-        if rows is None:
-            rows = np.array([(float(x), float(y), float(p)) for x, y, p in atoms]).reshape(-1, 3)
-        if not rows.size:
-            raise EmptyDistribution("joint distribution has no atoms")
-        x, y, p = rows.T
-        order = np.lexsort((y, x))
-        xs, ys = x[order], y[order]
-        non_finite = ~(np.isfinite(x) & np.isfinite(y))
-        bad_mass = ~(np.isfinite(p) & (p > 0.0))
-        duplicate = np.zeros(p.size, dtype=bool)
-        duplicate[order[1:][(xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])]] = True
-        bad = non_finite | bad_mass | duplicate
-        if bad.any():  # report the first bad atom, as an atom-by-atom check would
-            i = int(np.argmax(bad))
-            xi, yi, pi = rows[i].tolist()
-            if non_finite[i]:
-                raise ValidationError(f"support point ({xi!r}, {yi!r}) is not finite")
-            if bad_mass[i]:
-                raise ValidationError(
-                    f"mass {pi!r} at ({xi!r}, {yi!r}) must be positive and finite"
-                )
-            raise ValidationError(f"duplicate atom at ({xi!r}, {yi!r})")
-        _check_total(_fsum(p), "joint")
-        self._set_columns(xs, ys, p[order])
-
-    @classmethod
-    def _from_columns(cls, x, y, p) -> "FiniteJointDistribution":
-        """Wrap merged columns, sorted by (x, y) with positive masses, unchecked."""
-        j = object.__new__(cls)
-        j._set_columns(x, y, p)
-        return j
-
-    def _set_columns(self, *columns: np.ndarray) -> None:
-        for name, column in zip("xyp", columns):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-
-    @cached_property
-    def atoms(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple(zip(self.x.tolist(), self.y.tolist(), self.p.tolist()))
-
-    def __len__(self) -> int:
-        return int(self.p.size)
-
-    def __eq__(self, other):
-        return self.atoms == other.atoms if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
+def _at(row) -> str:
+    """The coordinates of a (coordinates..., mass) row, as messages name them."""
+    return "(" + ", ".join(map(repr, row[:-1])) + ")"
 
 
 def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.ndarray:
@@ -213,35 +103,150 @@ def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.nd
     """
     if not isinstance(raw, (list, tuple, np.ndarray)):
         raw = list(raw)
-    rows = _as_rows(raw, width)
-    if rows is not None and np.isfinite(rows).all() and (rows[:, -1] >= 0.0).all():
+    try:
+        rows = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        rows = np.empty(0)
+    if rows.shape[1:] == (width,) and np.isfinite(rows).all() and (rows[:, -1] >= 0.0).all():
         return rows
     cleaned = []
     for i, row in enumerate(raw):
         try:
-            row = tuple(map(float, row))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{item} {i}: expected {shape}") from exc
-        if len(row) != width:
-            raise ValidationError(f"{item} {i}: expected {shape}")
-        if not all(map(math.isfinite, row[:-1])):
-            raise ValidationError(f"{item} {i}: non-finite {support}")
-        if not math.isfinite(row[-1]) or row[-1] < 0.0:
-            raise ValidationError(f"{item} {i}: invalid mass {row[-1]!r}")
-        cleaned.append(row)
+            values = tuple(map(float, row))
+        except (TypeError, ValueError, OverflowError):
+            values = ()
+        if len(values) != width:
+            raise ValidationError(f"{item} {i}: expected {shape}, got {row!r}")
+        if not all(map(math.isfinite, values[:-1])):
+            raise ValidationError(f"{item} {i}: non-finite {support} at {_at(values)}")
+        if not math.isfinite(values[-1]) or values[-1] < 0.0:
+            raise ValidationError(f"{item} {i}: invalid mass {values[-1]!r} at {_at(values)}")
+        cleaned.append(values)
     return np.array(cleaned, dtype=float).reshape(-1, width)
 
 
-def _merged(rows: np.ndarray, normalize: bool, item: str) -> tuple[list[np.ndarray], np.ndarray]:
-    """Drop zero masses, merge duplicate keys, and rescale the masses to total 1.
+def _strict_columns(raw, row_format: tuple, what: str) -> list[np.ndarray]:
+    """The columns of a finite law from rows that need no merging: sorted keys, then masses.
 
-    A raw total further than INPUT_MASS_TOL from 1 is rejected unless
-    ``normalize``; a total within MASS_TOL of 1 is kept bit-exact.
+    Beyond the checks of ``_checked_rows``, masses must be positive, keys
+    unique and the total within MASS_TOL of 1.
     """
-    rows = rows[rows[:, -1] > 0.0]
+    rows = _checked_rows(raw, *row_format)
+    item = row_format[1]
     if not rows.size:
-        raise EmptyDistribution(f"no {item} carries positive mass")
-    keys, mass = _grouped(list(rows[:, :-1].T), rows[:, -1])
+        raise EmptyDistribution(f"{what} has no {item}s")
+    *keys, p = _grouped(list(rows[:, :-1].T), rows[:, -1])
+    if p.size < len(rows) or not rows[:, -1].all():  # the loop only names the first bad row
+        seen = set()
+        for i, row in enumerate(rows.tolist()):
+            if row[-1] == 0.0:
+                raise ValidationError(f"{item} {i}: mass {row[-1]!r} at {_at(row)} must be positive")
+            if tuple(row[:-1]) in seen:
+                raise ValidationError(f"{item} {i}: duplicate {item} at {_at(row)}")
+            seen.add(tuple(row[:-1]))
+    total = _fsum(p)
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValidationError(f"{what}: masses sum to {total!r}, not 1")
+    return keys + [p]
+
+
+class _FiniteLaw:
+    """Core of a finite law: read-only key columns sorted lexicographically,
+    then a mass column ``p``, under the attribute names ``_columns`` lists."""
+
+    @classmethod
+    def _from_columns(cls, *columns: np.ndarray):
+        """Wrap merged columns, sorted by key with positive masses, unchecked."""
+        law = object.__new__(cls)
+        _freeze(law, cls._columns, columns)
+        return law
+
+    @cached_property
+    def _tuples(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(zip(*(getattr(self, name).tolist() for name in self._columns)))
+
+    def __len__(self) -> int:
+        return int(self.p.size)
+
+    def __eq__(self, other):
+        return self._tuples == other._tuples if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuples)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class FiniteMarginal(_FiniteLaw):
+    """A univariate pmf: (value, mass) points with unique values.
+
+    The law is held as two read-only float64 columns, ``v`` sorted
+    increasing and ``p``.  ``points`` is a tuple view of the same law as
+    (value, p) floats, built on first use.
+    """
+
+    v: np.ndarray
+    p: np.ndarray
+    _columns = "vp"
+
+    def __init__(self, points: Iterable[tuple[float, float]]):
+        _freeze(self, self._columns, _strict_columns(points, _POINT, "marginal"))
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return self._tuples
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.v.tolist())
+
+    @property
+    def masses(self) -> tuple[float, ...]:
+        return tuple(self.p.tolist())
+
+    def cdf(self, t):
+        """Right-continuous cdf at scalar or array ``t``."""
+        cum = np.cumsum(self.p)
+        arr = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.v, arr, side="right")
+        out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+        return float(out) if arr.ndim == 0 else out
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class FiniteJointDistribution(_FiniteLaw):
+    """Atomic joint pmf of a pair: (x, y, mass) atoms with unique (x, y).
+
+    The law is held as three read-only float64 columns ``x``, ``y`` and
+    ``p``, sorted by (x, y).  ``atoms`` is a tuple view of the same law as
+    (x, y, p) floats, built on first use.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
+    _columns = "xyp"
+
+    def __init__(self, atoms: Iterable[tuple[float, float, float]]):
+        _freeze(self, self._columns, _strict_columns(atoms, _ATOM, "joint"))
+
+    @property
+    def atoms(self) -> tuple[tuple[float, float, float], ...]:
+        return self._tuples
+
+
+def _merged(raw, row_format: tuple, normalize: bool) -> list[np.ndarray]:
+    """The columns of a finite law from raw rows: sorted keys, then masses.
+
+    Zero masses are dropped, duplicate keys merged and the masses rescaled
+    to total 1.  A raw total further than INPUT_MASS_TOL from 1 is rejected
+    unless ``normalize``; a total within MASS_TOL of 1 is kept bit-exact.
+    """
+    # ``checked`` lives until return: freed before the grouping, peak RSS grew ~15 MB at 200k atoms
+    checked = _checked_rows(raw, *row_format)
+    rows = checked[checked[:, -1] > 0.0]
+    if not rows.size:
+        raise EmptyDistribution(f"no {row_format[1]} carries positive mass")
+    *keys, mass = _grouped(list(rows[:, :-1].T), rows[:, -1])
     total = _fsum(mass)
     if abs(total - 1.0) > INPUT_MASS_TOL and not normalize:
         raise NotNormalizable(
@@ -251,7 +256,7 @@ def _merged(rows: np.ndarray, normalize: bool, item: str) -> tuple[list[np.ndarr
         mass = mass / total
         if not mass.all():
             raise ValidationError(f"rescaling by {total!r} underflows a mass to 0")
-    return keys, mass
+    return keys + [mass]
 
 
 def make_joint(
@@ -266,14 +271,12 @@ def make_joint(
 
     Raises:
         ValidationError: on a negative, non-finite or malformed atom (the
-            message names the offending atom index).
+            message names the offending atom by index and coordinates).
         EmptyDistribution: if no atom has positive mass.
         NotNormalizable: if the raw total is off by more than 1e-9 and
             normalization was not requested.
     """
-    rows = _checked_rows(raw_atoms, 3, "atom", "an (x, y, p) triple", "support value")
-    (x, y), p = _merged(rows, normalize, "atom")
-    return FiniteJointDistribution._from_columns(x, y, p)
+    return FiniteJointDistribution._from_columns(*_merged(raw_atoms, _ATOM, normalize))
 
 
 def make_marginal(
@@ -281,21 +284,17 @@ def make_marginal(
     normalize: bool = False,
 ) -> FiniteMarginal:
     """Build a marginal from raw (value, mass) pairs; same rules as make_joint."""
-    rows = _checked_rows(raw_points, 2, "point", "a (value, p) pair", "value")
-    (values,), masses = _merged(rows, normalize, "point")
-    return FiniteMarginal._from_columns(values, masses)
+    return FiniteMarginal._from_columns(*_merged(raw_points, _POINT, normalize))
 
 
 def marginal_x(j: FiniteJointDistribution) -> FiniteMarginal:
     """X-marginal of a joint: masses aggregated over the y coordinate."""
-    (values,), masses = _grouped([j.x], j.p)
-    return FiniteMarginal._from_columns(values, masses)
+    return FiniteMarginal._from_columns(*_grouped([j.x], j.p))
 
 
 def marginal_y(j: FiniteJointDistribution) -> FiniteMarginal:
     """Y-marginal of a joint: masses aggregated over the x coordinate."""
-    (values,), masses = _grouped([j.y], j.p)
-    return FiniteMarginal._from_columns(values, masses)
+    return FiniteMarginal._from_columns(*_grouped([j.y], j.p))
 
 
 def product_joint(
@@ -308,10 +307,9 @@ def product_joint(
         raise SupportTooLarge(
             f"product support {len(mx)} x {len(my)} exceeds cap {max_atoms}"
         )
-    atoms = tuple(
-        (x, y, px * py) for x, px in mx.points for y, py in my.points
-    )
-    return FiniteJointDistribution(atoms)
+    x, px = np.repeat(mx.v, len(my)), np.repeat(mx.p, len(my))
+    y, py = np.tile(my.v, len(mx)), np.tile(my.p, len(mx))
+    return FiniteJointDistribution(np.column_stack((x, y, px * py)))
 
 
 def _transform_value(phi, t: float) -> float:
@@ -343,8 +341,7 @@ def apply_transform(
     support = {v for pair in zip(j.x.tolist(), j.y.tolist()) for v in pair}
     table = {t: _transform_value(phi, t) for t in support}
     mapped = [np.array([table[t] for t in column.tolist()]) for column in (j.x, j.y)]
-    (x, y), p = _grouped(mapped, j.p)
-    return FiniteJointDistribution(np.column_stack((x, y, p)))
+    return FiniteJointDistribution(np.column_stack(_grouped(mapped, j.p)))
 
 
 def swap(j: FiniteJointDistribution) -> FiniteJointDistribution:
@@ -354,7 +351,7 @@ def swap(j: FiniteJointDistribution) -> FiniteJointDistribution:
 
 def expectation(m: FiniteMarginal) -> float:
     """Mean of a finite marginal."""
-    return math.fsum(v * p for v, p in m.points)
+    return _fsum(m.v * m.p)
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +374,19 @@ class PairedSample:
             raise ValidationError("sample must contain at least one pair")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValidationError("sample contains non-finite values")
-        x = x.copy()
-        y = y.copy()
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _freeze(self, "xy", (x.copy(), y.copy()))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "PairedSample":
         rows = list(pairs)
         if not rows:
             raise ValidationError("sample must contain at least one pair")
-        arr = np.asarray(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValidationError("pairs must be (x, y) tuples")
+        try:
+            arr = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            arr = np.empty(0)
+        if arr.shape[1:] != (2,):
+            raise ValidationError("pairs must be (x, y) tuples of numbers")
         return cls(arr[:, 0], arr[:, 1])
 
     @property
@@ -406,10 +401,14 @@ class PairedSample:
 # Gridded-density substrate
 
 
+def _trapezoids(f: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The trapezoid-rule integral of ``f`` over each grid interval."""
+    return 0.5 * (f[1:] + f[:-1]) * np.diff(grid)
+
+
 def _cumulative_trapezoid(f: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Forward cumulative trapezoid integral, zero at the first node."""
-    segments = 0.5 * (f[1:] + f[:-1]) * np.diff(grid)
-    return np.concatenate(([0.0], np.cumsum(segments)))
+    return np.concatenate(([0.0], np.cumsum(_trapezoids(f, grid))))
 
 
 def _reverse_cumulative_trapezoid(f: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -418,8 +417,17 @@ def _reverse_cumulative_trapezoid(f: np.ndarray, grid: np.ndarray) -> np.ndarray
     Accumulating from the right keeps the *relative* accuracy of small tail
     values, which matters for hazard rates and mean residual life.
     """
-    segments = 0.5 * (f[1:] + f[:-1]) * np.diff(grid)
-    return np.concatenate((np.cumsum(segments[::-1])[::-1], [0.0]))
+    return np.concatenate((np.cumsum(_trapezoids(f, grid)[::-1])[::-1], [0.0]))
+
+
+def _grid_arrays(grid, fx, fy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid and both densities as float arrays of one 1-D shape, >= 3 nodes."""
+    grid, fx, fy = (np.asarray(a, dtype=float) for a in (grid, fx, fy))
+    if grid.ndim != 1 or grid.size < 3:
+        raise ValidationError("grid must be 1-D with at least 3 nodes")
+    if fx.shape != grid.shape or fy.shape != grid.shape:
+        raise ValidationError("densities must match the grid shape")
+    return grid, fx, fy
 
 
 @dataclass(frozen=True)
@@ -437,13 +445,7 @@ class GridDensityPair:
     fy: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        fx = np.asarray(self.fx, dtype=float)
-        fy = np.asarray(self.fy, dtype=float)
-        if grid.ndim != 1 or grid.size < 3:
-            raise ValidationError("grid must be 1-D with at least 3 nodes")
-        if fx.shape != grid.shape or fy.shape != grid.shape:
-            raise ValidationError("densities must match the grid shape")
+        grid, fx, fy = _grid_arrays(self.grid, self.fx, self.fy)
         if not np.isfinite(grid).all():
             raise ValidationError("grid contains non-finite abscissae")
         if np.any(np.diff(grid) <= 0.0):
@@ -453,27 +455,21 @@ class GridDensityPair:
                 raise ValidationError(f"{name} contains non-finite values")
             if np.any(f < 0.0):
                 raise ValidationError(f"{name} contains negative density values")
-            integral = float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(grid)))
+            integral = float(np.sum(_trapezoids(f, grid)))
             if abs(integral - 1.0) > DENSITY_NORM_TOL:
                 raise ValidationError(
                     f"{name} integrates to {integral!r} under the trapezoid rule, not 1"
                 )
-        for name, arr in (("grid", grid), ("fx", fx), ("fy", fy)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("grid", "fx", "fy"), (grid.copy(), fx.copy(), fy.copy()))
 
     @classmethod
     def from_arrays(cls, grid, fx, fy, normalize: bool = False) -> "GridDensityPair":
         """Build from tabulated values, optionally rescaling each density so
         its trapezoid integral is exactly 1."""
-        grid = np.asarray(grid, dtype=float)
-        fx = np.asarray(fx, dtype=float)
-        fy = np.asarray(fy, dtype=float)
+        grid, fx, fy = _grid_arrays(grid, fx, fy)
         if normalize:
-            dx = np.diff(grid)
-            zx = float(np.sum(0.5 * (fx[1:] + fx[:-1]) * dx))
-            zy = float(np.sum(0.5 * (fy[1:] + fy[:-1]) * dx))
+            zx = float(np.sum(_trapezoids(fx, grid)))
+            zy = float(np.sum(_trapezoids(fy, grid)))
             if zx <= 0.0 or zy <= 0.0:
                 raise ValidationError("cannot normalize a density with nonpositive integral")
             fx = fx / zx

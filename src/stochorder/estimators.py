@@ -40,6 +40,18 @@ QUANTITIES = (
 _MULTINOMIAL_CUTOFF = 256
 
 
+def _integer(value, message: str, low: int = 1, high: float = math.inf) -> int:
+    """``value`` as an int in [low, high), through ``operator.index``: numpy
+    integers pass, floats do not."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or not low <= out < high:
+        raise ValidationError(f"{message}, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class SeededStream:
     """A reproducible pseudo-random stream identified by a 64-bit seed.
@@ -53,12 +65,7 @@ class SeededStream:
     seed: int
 
     def __post_init__(self):
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = None
-        if seed is None or not 0 <= seed < 2**64:
-            raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        seed = _integer(self.seed, "seed must be an unsigned 64-bit integer", 0, 2**64)
         object.__setattr__(self, "seed", seed)
 
     def rng(self) -> np.random.Generator:
@@ -78,7 +85,6 @@ class EstimateWithCI:
     ci_high: float
     level: float
     n: int
-    method: str = "bootstrap-percentile"
 
     def __post_init__(self):
         if not self.ci_low <= self.point <= self.ci_high:
@@ -90,8 +96,7 @@ class EstimateWithCI:
 
 def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> PairedSample:
     """Draw n i.i.d. pairs from a finite joint by inverse cdf on the atom index."""
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
+    n = _integer(n, "sample size must be a positive integer")
     cum = np.cumsum(j.p)
     cum[-1] = 1.0  # guard against rounding in the final cumulative mass
     u = stream.rng().random(n)
@@ -187,8 +192,7 @@ def estimate_orders(
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
-    if bootstrap < 1:
-        raise ValidationError(f"bootstrap resample count must be positive, got {bootstrap}")
+    bootstrap = _integer(bootstrap, "bootstrap resample count must be a positive integer")
     if sample.n < 2:
         raise SampleTooSmall("confidence intervals require at least 2 pairs")
     stream = stream if stream is not None else SeededStream(0)
@@ -200,7 +204,7 @@ def estimate_orders(
         x, y = float(sample.x[i]), float(sample.y[i])
         raise ValidationError(f"pair {i}: y - x overflows at ({x!r}, {y!r})")
 
-    pairs, counts = _grouped([sample.x, sample.y], np.ones(sample.n))
+    *pairs, counts = _grouped([sample.x, sample.y], np.ones(sample.n))
     terms = _terms(FiniteJointDistribution._from_columns(*pairs, counts / sample.n))
     points = np.array(_quantities(terms))
     replicates = _bootstrap_terms(sample, pairs, counts, stream.rng(), bootstrap)
@@ -273,8 +277,7 @@ def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
     """
     d_band, d_triangle = band_triangle_densities(eps)
     eps = float(eps)
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
+    n = _integer(n, "sample size must be a positive integer")
     band_mass = d_band * (eps - 0.5 * eps * eps)          # density x band area
     triangle_mass = d_triangle * (0.5 * eps * eps)        # density x triangle area
     if abs(band_mass + triangle_mass - 1.0) > 1e-9:

@@ -234,6 +234,9 @@ class TestPairedSample:
             PairedSample(np.array([1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValidationError):
             PairedSample(np.array([1.0]), np.array([float("nan")]))
+        for pairs in ([(1, "a")], [(1, 2), (3,)], [(1, 2, 3)], [1.0, 2.0]):
+            with pytest.raises(ValidationError, match=r"pairs must be \(x, y\) tuples"):
+                PairedSample.from_pairs(pairs)
 
 
 class TestGridDensityPair:
@@ -265,6 +268,12 @@ class TestGridDensityPair:
             GridDensityPair(grid, bad, flat)
         with pytest.raises(ValidationError):
             GridDensityPair(grid, 2.0 * flat, flat)  # integral 2
+        # shapes are checked before normalizing
+        with pytest.raises(ValidationError, match="densities must match the grid shape"):
+            GridDensityPair.from_arrays([0, 1, 2], [1, 1, 1, 1], [1, 1, 1], normalize=True)
+        square = np.ones((3, 3))
+        with pytest.raises(ValidationError, match="grid must be 1-D"):
+            GridDensityPair.from_arrays(square, square, square, normalize=True)
 
     def test_from_functions_tabulates(self):
         grid = np.linspace(0.0, 16.0, 3201)

@@ -1,7 +1,9 @@
 """The columnar exact engine against the per-atom reference oracle."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,16 +11,20 @@ from hypothesis import strategies as st
 from stochorder import (
     EmptyDistribution,
     FiniteJointDistribution,
+    FiniteMarginal,
     InputFormatError,
     ValidationError,
     compare_all,
+    expectation,
     make_joint,
+    make_marginal,
     marginal_x,
     marginal_y,
+    product_joint,
     read_joint_json,
 )
 
-from conftest import oracle_make_joint, oracle_marginal, oracle_terms
+from conftest import oracle_make_joint, oracle_marginal, oracle_terms, random_marginal
 
 #: Coordinates that collide: signed zeros and ties 1e-12 apart.
 EDGE_COORDS = [0.0, -0.0, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e-12, -1e-12, 2.0]
@@ -109,23 +115,101 @@ class TestPublicConstructor:
         j = FiniteJointDistribution([(2.0, 0.0, 0.5), (1.0, 3.0, 0.25), (1.0, -3.0, 0.25)])
         assert j.atoms == ((1.0, -3.0, 0.25), (1.0, 3.0, 0.25), (2.0, 0.0, 0.5))
         assert j == make_joint(j.atoms)
+        m = FiniteMarginal([(2.0, 0.5), (-1.0, 0.25), (1.0, 0.25)])
+        assert m.points == ((-1.0, 0.25), (1.0, 0.25), (2.0, 0.5))
+        assert m.values == (-1.0, 1.0, 2.0) and m.masses == (0.25, 0.25, 0.5)
+        assert m == make_marginal(m.points) and hash(m) == hash(make_marginal(m.points))
+        assert len(m) == 3 and m.cdf(1.5) == 0.5
 
     @pytest.mark.parametrize(
         "atoms, message",
         [
             ([(0, 0, 0.5), (1, 1, 0.25), (0, 0, 0.25)], r"duplicate atom at \(0\.0, 0\.0\)"),
             ([(0, 0.0, 0.5), (0, -0.0, 0.5)], r"duplicate atom at \(0\.0, -0\.0\)"),
-            ([(1, 1, 0.5), (0, float("inf"), 0.0), (1, 1, 0.5)], r"\(0\.0, inf\) is not finite"),
+            (
+                [(1, 1, 0.5), (0, float("inf"), 0.0), (1, 1, 0.5)],
+                r"atom 1: non-finite support value at \(0\.0, inf\)",
+            ),
             ([(0, 0, 0.0), (0, 0, 1.0)], r"mass 0\.0 at \(0\.0, 0\.0\) must be positive"),
             ([(0, 0, 0.5), (1, 1, 0.25)], "joint: masses sum to 0.75, not 1"),
+            (
+                [(0, 0, 0.5), (1, 2, "heavy")],
+                r"atom 1: expected an \(x, y, p\) triple, got \(1, 2, 'heavy'\)",
+            ),
+            ([(1, 2)], r"atom 0: expected an \(x, y, p\) triple, got \(1, 2\)"),
+            ([(0, 0, 0.5), (1, 1, float("nan"))], r"atom 1: invalid mass nan at \(1\.0, 1\.0\)"),
+            ([(0, 0, 0.5), (1, 1, -0.5)], r"atom 1: invalid mass -0\.5 at \(1\.0, 1\.0\)"),
         ],
     )
     def test_reports_the_first_bad_atom(self, atoms, message):
         with pytest.raises(ValidationError, match=message):
             FiniteJointDistribution(atoms)
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(1, "a")], r"point 0: expected a \(value, p\) pair, got \(1, 'a'\)"),
+            ([(0, 0.5), (1, 0.25, 0.25)], r"point 1: expected a \(value, p\) pair"),
+            ([(0, 0.5), (float("inf"), 0.5)], r"point 1: non-finite value at \(inf\)"),
+            ([(0, 0.5), (2, -0.5)], r"point 1: invalid mass -0\.5 at \(2\.0\)"),
+            ([(0, 1.0), (2, 0.0)], r"point 1: mass 0\.0 at \(2\.0\) must be positive"),
+            ([(0, 0.5), (1, 0.25), (-0.0, 0.25)], r"point 2: duplicate point at \(-0\.0\)"),
+            ([(0, 0.5), (1, 0.25)], "marginal: masses sum to 0.75, not 1"),
+        ],
+    )
+    def test_reports_the_first_bad_point(self, points, message):
+        with pytest.raises(ValidationError, match=message):
+            FiniteMarginal(points)
+
+    def test_no_rows(self):
+        with pytest.raises(EmptyDistribution, match="joint has no atoms"):
+            FiniteJointDistribution([])
+        with pytest.raises(EmptyDistribution, match="marginal has no points"):
+            FiniteMarginal(iter([]))
+
     def test_columns_are_read_only(self):
         j = make_joint([(0.0, 1.0, 0.5), (2.0, 1.0, 0.5)])
-        with pytest.raises(ValueError):
-            j.p[0] = 1.0
-        assert type(j.atoms[0][0]) is float
+        m = make_marginal([(0.0, 0.5), (2.0, 0.5)])
+        for column in (j.p, m.v):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert type(j.atoms[0][0]) is float and type(m.points[0][0]) is float
+
+
+@st.composite
+def strict_rows(draw, width: int):
+    """Rows a public constructor accepts: unique keys, positive masses totalling 1."""
+    keys = draw(
+        st.lists(st.tuples(*[COORDS] * (width - 1)), min_size=1, max_size=10, unique=True)
+    )
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(keys), max_size=len(keys)))
+    total = math.fsum(weights)
+    return [(*key, w / total) for key, w in zip(keys, weights)]
+
+
+@given(atoms=strict_rows(3), points=strict_rows(2))
+@settings(max_examples=200, deadline=None)
+def test_public_constructors_agree_with_the_builders(atoms, points):
+    assert FiniteJointDistribution(atoms) == make_joint(atoms)
+    assert repr(FiniteJointDistribution(atoms).atoms) == repr(make_joint(atoms).atoms)
+    assert repr(FiniteMarginal(points).points) == repr(make_marginal(points).points)
+
+
+class TestColumnReads:
+    """``expectation`` and ``product_joint`` read the columns; the bits are
+    those of the tuple-based code they replaced."""
+
+    def test_expectation_matches_the_tuple_fsum(self, rng):
+        for _ in range(200):
+            m = random_marginal(rng, max_support=12)
+            assert repr(expectation(m)) == repr(math.fsum(v * p for v, p in m.points))
+
+    def test_product_matches_the_tuple_comprehension(self, rng):
+        for _ in range(200):
+            mx, my = random_marginal(rng, max_support=12), random_marginal(rng, max_support=12)
+            atoms = tuple((x, y, px * py) for x, px in mx.points for y, py in my.points)
+            assert repr(product_joint(mx, my).atoms) == repr(atoms)
+        mx = make_marginal(zip(rng.uniform(-5, 5, 300), np.full(300, 1 / 300)), normalize=True)
+        my = make_marginal(zip(rng.uniform(-5, 5, 200), rng.dirichlet(np.ones(200))))
+        atoms = tuple((x, y, px * py) for x, px in mx.points for y, py in my.points)
+        assert repr(product_joint(mx, my).atoms) == repr(atoms)

@@ -68,6 +68,12 @@ class TestSampleJoint:
     def test_bad_n(self):
         with pytest.raises(ValidationError):
             sample_joint(EX1, 0, SeededStream(0))
+        for n in (2.5, 3.0, "3", None):
+            with pytest.raises(ValidationError, match="sample size must be a positive integer"):
+                sample_joint(EX1, n, SeededStream(0))
+        a = sample_joint(EX1, np.int64(50), SeededStream(3))
+        b = sample_joint(EX1, 50, SeededStream(3))
+        assert a.n == 50 and np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
 class TestEstimateOrders:
@@ -142,6 +148,11 @@ class TestEstimateOrders:
             estimate_orders(sample, level=1.0)
         with pytest.raises(ValidationError):
             estimate_orders(sample, bootstrap=0)
+        with pytest.raises(ValidationError, match="bootstrap resample count must be a positive"):
+            estimate_orders(sample, bootstrap=2.5)
+        report = estimate_orders(sample, bootstrap=np.int32(20))
+        assert type(report.bootstrap) is int
+        assert report.to_dict() == estimate_orders(sample, bootstrap=20).to_dict()
 
     def test_deterministic_reports(self):
         sample = sample_joint(EX1, 5000, SeededStream(9))
@@ -203,6 +214,13 @@ class TestSampleExample4:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
         scn = example4_spec(np.float32(0.5))
         assert type(scn.eps) is float and scn.eps == 0.5
+
+    def test_sample_size_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="sample size must be a positive integer"):
+            sample_example4(0.3, 2.5, SeededStream(0))
+        a = sample_example4(0.3, np.uint16(40), SeededStream(1))
+        b = sample_example4(0.3, 40, SeededStream(1))
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_support_strictly_inside_unit_square(self):
         s = sample_example4(0.4, 50_000, SeededStream(3))
