@@ -101,6 +101,10 @@ def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.nd
     and the checks run vectorized; only when they fail does the
     row-by-row loop run, to name the first bad row.
     """
+    try:
+        iter(raw)
+    except TypeError:
+        raise ValidationError(f"expected an iterable of {item}s, got {raw!r}") from None
     if not isinstance(raw, (list, tuple, np.ndarray)):
         raw = list(raw)
     try:
@@ -366,8 +370,11 @@ class PairedSample:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        try:
+            x = np.asarray(self.x, dtype=float)
+            y = np.asarray(self.y, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("sample coordinates must be numbers") from None
         if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
             raise ValidationError("sample coordinates must be 1-D arrays of equal length")
         if x.size < 1:
@@ -421,12 +428,17 @@ def _reverse_cumulative_trapezoid(f: np.ndarray, grid: np.ndarray) -> np.ndarray
 
 
 def _grid_arrays(grid, fx, fy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid and both densities as float arrays of one 1-D shape, >= 3 nodes."""
+    """The grid and both densities as finite float arrays of one 1-D shape, >= 3 nodes."""
     grid, fx, fy = (np.asarray(a, dtype=float) for a in (grid, fx, fy))
     if grid.ndim != 1 or grid.size < 3:
         raise ValidationError("grid must be 1-D with at least 3 nodes")
     if fx.shape != grid.shape or fy.shape != grid.shape:
         raise ValidationError("densities must match the grid shape")
+    if not np.isfinite(grid).all():
+        raise ValidationError("grid contains non-finite abscissae")
+    for name, f in (("fx", fx), ("fy", fy)):
+        if not np.isfinite(f).all():
+            raise ValidationError(f"{name} contains non-finite values")
     return grid, fx, fy
 
 
@@ -446,13 +458,9 @@ class GridDensityPair:
 
     def __post_init__(self):
         grid, fx, fy = _grid_arrays(self.grid, self.fx, self.fy)
-        if not np.isfinite(grid).all():
-            raise ValidationError("grid contains non-finite abscissae")
         if np.any(np.diff(grid) <= 0.0):
             raise ValidationError("grid abscissae must be strictly increasing")
         for name, f in (("fx", fx), ("fy", fy)):
-            if not np.isfinite(f).all():
-                raise ValidationError(f"{name} contains non-finite values")
             if np.any(f < 0.0):
                 raise ValidationError(f"{name} contains negative density values")
             integral = float(np.sum(_trapezoids(f, grid)))

@@ -83,8 +83,6 @@ class EstimateWithCI:
     point: float
     ci_low: float
     ci_high: float
-    level: float
-    n: int
 
     def __post_init__(self):
         if not self.ci_low <= self.point <= self.ci_high:
@@ -217,7 +215,7 @@ def estimate_orders(
     hi = np.maximum(hi, points)
 
     quantities = {
-        name: EstimateWithCI(float(points[i]), float(lo[i]), float(hi[i]), level, sample.n)
+        name: EstimateWithCI(float(points[i]), float(lo[i]), float(hi[i]))
         for i, name in enumerate(QUANTITIES)
     }
     return EstimateReport(

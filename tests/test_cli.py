@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import sys
 import pytest
 
 from stochorder import make_joint, sample_joint, SeededStream, write_joint_json, write_sample_csv
-from stochorder.cli import main, render_json
+from stochorder.cli import _build_parser, main, render_json
+from stochorder.scenarios import REPRODUCTIONS
 
 EX1 = make_joint([(1000.0, 999.0, 0.6), (0.0, 999.0, 0.4)])
 
@@ -185,6 +187,17 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "example1" in out and "example2" in out
         assert "conditional K* precedence" in out
+
+    def test_choices_are_the_registry(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        which = next(a for a in sub.choices["reproduce"]._actions if a.dest == "which")
+        assert list(which.choices) == ["all", *REPRODUCTIONS]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_example4_passes_at_small_n(self, seed, capsys):
+        # the Monte Carlo bound scales with --n, so a correct sampler passes
+        assert main(["reproduce", "example4", "--n", "1000", "--seed", str(seed)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 def test_module_entry_point(tmp_path):

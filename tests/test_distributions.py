@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stochorder import (
     EmptyDistribution,
     FiniteJointDistribution,
+    FiniteMarginal,
     GridDensityPair,
     NotNormalizable,
     PairedSample,
@@ -75,6 +76,20 @@ class TestMakeJoint:
             make_joint([(float("inf"), 0, 1.0)])
         with pytest.raises(ValidationError, match="atom 0"):
             make_joint([(0, float("nan"), 1.0)])
+
+    @pytest.mark.parametrize(
+        "build, item",
+        [
+            (make_joint, "atoms"),
+            (make_marginal, "points"),
+            (FiniteJointDistribution, "atoms"),
+            (FiniteMarginal, "points"),
+        ],
+    )
+    @pytest.mark.parametrize("raw", [5, None, np.array(5.0)])
+    def test_non_iterable_input_rejected(self, build, item, raw):
+        with pytest.raises(ValidationError, match=f"expected an iterable of {item}, got "):
+            build(raw)
 
 
 class TestMarginals:
@@ -238,6 +253,11 @@ class TestPairedSample:
             with pytest.raises(ValidationError, match=r"pairs must be \(x, y\) tuples"):
                 PairedSample.from_pairs(pairs)
 
+    @pytest.mark.parametrize("x, y", [(["a"], [1.0]), ([1.0], [object()]), ([10**400], [1.0])])
+    def test_non_numeric_coordinates_rejected(self, x, y):
+        with pytest.raises(ValidationError, match="sample coordinates must be numbers"):
+            PairedSample(x, y)
+
 
 class TestGridDensityPair:
     def test_valid_pair(self):
@@ -274,6 +294,19 @@ class TestGridDensityPair:
         square = np.ones((3, 3))
         with pytest.raises(ValidationError, match="grid must be 1-D"):
             GridDensityPair.from_arrays(square, square, square, normalize=True)
+
+    @pytest.mark.parametrize(
+        "grid, fx, fy, message",
+        [
+            ([0, 1, 2], [1, math.inf, 1], [1, 1, 1], "fx contains non-finite values"),
+            ([0, 1, 2], [1, 1, 1], [1, math.nan, 1], "fy contains non-finite values"),
+            ([0, math.inf, 2], [1, 1, 1], [1, 1, 1], "grid contains non-finite abscissae"),
+        ],
+    )
+    def test_non_finite_values_rejected_before_normalizing(self, grid, fx, fy, message):
+        # normalizing first would divide by a non-finite integral (a RuntimeWarning)
+        with pytest.raises(ValidationError, match=message):
+            GridDensityPair.from_arrays(grid, fx, fy, normalize=True)
 
     def test_from_functions_tabulates(self):
         grid = np.linspace(0.0, 16.0, 3201)

@@ -11,9 +11,13 @@ from stochorder import (
     compare_sp,
     make_marginal,
     product_joint,
+    sample_example4,
 )
 from stochorder.scenarios import (
     DICE_FACES,
+    REPRODUCTIONS,
+    BandTriangleScenario,
+    CheckResult,
     TRANSFORM_TABLE,
     enumerate_p_first_less,
     example1,
@@ -122,6 +126,43 @@ class TestVerifyExample4:
         checks = verify_example4(example4_spec(0.3), n=20_000, stream=SeededStream(1))
         ref = [c for c in checks if c.name == "p_x_leq_y_reference_quadratic"]
         assert len(ref) == 1 and not ref[0].asserted
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+    def test_small_samples_pass_for_every_seed(self, eps):
+        # the Monte Carlo bound is five binomial standard errors at this n
+        for seed in range(10):
+            checks = verify_example4(example4_spec(eps), n=1000, stream=SeededStream(seed))
+            assert [c.name for c in checks if c.asserted and not c.passed] == []
+
+    def test_biased_sampler_fails_at_the_default_size(self):
+        class Biased(BandTriangleScenario):
+            def sample(self, n, stream):
+                return sample_example4(0.48, n, stream)
+
+        scn = example4_spec(0.5)
+        biased = Biased(scn.eps, scn.band_density, scn.triangle_density, scn.reference_p_x_leq_y)
+        failed = [c.name for c in verify_example4(biased) if not c.passed]
+        assert "p_x_leq_y_mc_vs_oracle" in failed
+
+
+class TestReproductions:
+    def test_registry_lists_every_scenario_in_report_order(self):
+        assert list(REPRODUCTIONS) == ["example1", "example2", "transform", "example4", "dice"]
+
+    @pytest.mark.parametrize("name", list(REPRODUCTIONS))
+    def test_every_entry_returns_check_results(self, name):
+        checks = REPRODUCTIONS[name](0.5, 20_000, 0)
+        assert checks and all(isinstance(c, CheckResult) for c in checks)
+
+    def test_only_the_quadratic_reference_row_has_a_note(self):
+        noted = {
+            f"{name}.{c.name}": c.note
+            for name, run in REPRODUCTIONS.items()
+            for c in run(0.5, 20_000, 0)
+            if c.note
+        }
+        assert list(noted) == ["example4.p_x_leq_y_reference_quadratic"]
+        assert "eps^2/2" in noted["example4.p_x_leq_y_reference_quadratic"]
 
 
 class TestIntransitiveDice:
