@@ -29,14 +29,10 @@ _ORDER_LABELS = (
 
 def _round_floats(obj):
     """Render every float with 10 significant digits (idempotent)."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(f"{obj:.10g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -58,14 +54,11 @@ def _render_compare_table(report) -> str:
     lines.append(
         f"P(X<Y)={_fmt(probs.p_less)}  P(X=Y)={_fmt(probs.p_equal)}  P(X>Y)={_fmt(probs.p_greater)}"
     )
-    lines.append(
-        f"L1: below={_fmt(report.l1.below_term)} above={_fmt(report.l1.above_term)}"
-        f" total={_fmt(report.l1.total)}"
-    )
-    lines.append(
-        f"K*: below={_fmt(report.kstar.below_term)} above={_fmt(report.kstar.above_term)}"
-        f" total={_fmt(report.kstar.total)}"
-    )
+    for d in (report.l1, report.kstar):
+        lines.append(
+            f"{d.metric}: below={_fmt(d.below_term)} above={_fmt(d.above_term)}"
+            f" total={_fmt(d.total)}"
+        )
     return "\n".join(lines)
 
 

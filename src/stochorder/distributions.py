@@ -269,9 +269,10 @@ def make_joint(
 ) -> FiniteJointDistribution:
     """Build a joint distribution from raw (x, y, mass) triples.
 
-    Duplicate (x, y) pairs are merged, zero-mass atoms are dropped, and the
-    masses are rescaled to total exactly 1.  A raw total further than 1e-9
-    from 1 is rejected unless ``normalize=True``.
+    Duplicate (x, y) pairs are merged and zero-mass atoms are dropped.  A
+    total within 1e-12 of 1 is kept bit-exact; any other total is rescaled
+    to 1, within that same 1e-12.  A raw total further than 1e-9 from 1 is
+    rejected unless ``normalize=True``.
 
     Raises:
         ValidationError: on a negative, non-finite or malformed atom (the
@@ -427,9 +428,21 @@ def _reverse_cumulative_trapezoid(f: np.ndarray, grid: np.ndarray) -> np.ndarray
     return np.concatenate((np.cumsum(_trapezoids(f, grid)[::-1])[::-1], [0.0]))
 
 
+def _integral(name: str, f: np.ndarray, grid: np.ndarray) -> float:
+    """The trapezoid integral of density ``name``, rejected when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the density
+        integral = float(np.sum(_trapezoids(f, grid)))
+    if not math.isfinite(integral):
+        raise ValidationError(f"{name} has a non-finite integral under the trapezoid rule")
+    return integral
+
+
 def _grid_arrays(grid, fx, fy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid and both densities as finite float arrays of one 1-D shape, >= 3 nodes."""
-    grid, fx, fy = (np.asarray(a, dtype=float) for a in (grid, fx, fy))
+    """Grid and densities as finite float arrays of one 1-D shape: >= 3 nodes, strictly increasing."""
+    try:
+        grid, fx, fy = (np.asarray(a, dtype=float) for a in (grid, fx, fy))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("grid and densities must be numbers") from None
     if grid.ndim != 1 or grid.size < 3:
         raise ValidationError("grid must be 1-D with at least 3 nodes")
     if fx.shape != grid.shape or fy.shape != grid.shape:
@@ -439,6 +452,8 @@ def _grid_arrays(grid, fx, fy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for name, f in (("fx", fx), ("fy", fy)):
         if not np.isfinite(f).all():
             raise ValidationError(f"{name} contains non-finite values")
+    if np.any(grid[1:] <= grid[:-1]):  # not np.diff, which can overflow
+        raise ValidationError("grid abscissae must be strictly increasing")
     return grid, fx, fy
 
 
@@ -458,12 +473,10 @@ class GridDensityPair:
 
     def __post_init__(self):
         grid, fx, fy = _grid_arrays(self.grid, self.fx, self.fy)
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValidationError("grid abscissae must be strictly increasing")
         for name, f in (("fx", fx), ("fy", fy)):
             if np.any(f < 0.0):
                 raise ValidationError(f"{name} contains negative density values")
-            integral = float(np.sum(_trapezoids(f, grid)))
+            integral = _integral(name, f, grid)
             if abs(integral - 1.0) > DENSITY_NORM_TOL:
                 raise ValidationError(
                     f"{name} integrates to {integral!r} under the trapezoid rule, not 1"
@@ -476,8 +489,7 @@ class GridDensityPair:
         its trapezoid integral is exactly 1."""
         grid, fx, fy = _grid_arrays(grid, fx, fy)
         if normalize:
-            zx = float(np.sum(_trapezoids(fx, grid)))
-            zy = float(np.sum(_trapezoids(fy, grid)))
+            zx, zy = _integral("fx", fx, grid), _integral("fy", fy, grid)
             if zx <= 0.0 or zy <= 0.0:
                 raise ValidationError("cannot normalize a density with nonpositive integral")
             fx = fx / zx

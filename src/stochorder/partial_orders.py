@@ -12,9 +12,14 @@ of the two marginals:
 The usual stochastic order is available both for finite marginals (cdf
 step functions compared on the union of supports) and for gridded
 densities; the other three are defined for densities only, so they accept
-a :class:`GridDensityPair`.  Verdicts follow the shared trichotomy with
-``INCOMPARABLE`` when the defining inequality points both ways; the report
-then carries two witness abscissae.
+a :class:`GridDensityPair`.
+
+One pointwise rule decides every order: at each node, a - b is a tie
+within 1e-12 + 1e-9 * max(|a|, |b|) for the two compared quantities a and
+b (for lr, the ratio at the right and at the left node of each step).  The
+evidence is the largest and smallest a - b, each clamped at 0.
+``INCOMPARABLE`` means the inequality points both ways; the report then
+carries two witness abscissae.
 
 Grid comparisons truncate at the last node: mass beyond it is treated as
 zero, hazard and mean-residual-life comparisons exclude nodes where either
@@ -34,8 +39,8 @@ from .distributions import (
 from .errors import EmptyComparisonRegion, ValidationError
 from .verdicts import Outcome, PartialOrderReport, Verdict
 
-#: Pointwise classification tolerance: differences within
-#: ABS_TOL + REL_TOL * scale count as ties.
+#: Pointwise classification tolerance: differences a - b within
+#: ABS_TOL + REL_TOL * max(|a|, |b|) count as ties.
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
 #: Survival floor below which hr/mrl nodes are excluded.
@@ -47,15 +52,16 @@ DENSITY_FLOOR = 1e-12
 def _pointwise_report(
     order: str,
     abscissae: np.ndarray,
-    advantage: np.ndarray,
-    scale: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
 ) -> PartialOrderReport:
-    """Classify a pointwise comparison.
+    """Classify the pointwise comparison of ``a`` with ``b``.
 
-    ``advantage[i] > 0`` argues that the first variable precedes at
-    ``abscissae[i]``; negative values argue the opposite.
+    ``a[i] > b[i]`` argues that the first variable precedes at
+    ``abscissae[i]``; ``a[i] < b[i]`` argues the opposite.
     """
-    tol = ABS_TOL + REL_TOL * scale
+    advantage = a - b
+    tol = ABS_TOL + REL_TOL * np.maximum(np.abs(a), np.abs(b))
     pos = advantage > tol
     neg = advantage < -tol
     evidence = {
@@ -75,18 +81,6 @@ def _pointwise_report(
     return PartialOrderReport(order, Verdict(Outcome.EQUAL, evidence))
 
 
-def _st_on_marginals(a: FiniteMarginal, b: FiniteMarginal) -> PartialOrderReport:
-    support = np.asarray(sorted(set(a.values) | set(b.values)))
-    fa = a.cdf(support)
-    fb = b.cdf(support)
-    return _pointwise_report("st", support, fa - fb, np.maximum(np.abs(fa), np.abs(fb)))
-
-
-def _st_on_grid(g: GridDensityPair) -> PartialOrderReport:
-    fa, fb = g.cdf_x, g.cdf_y
-    return _pointwise_report("st", g.grid, fa - fb, np.maximum(np.abs(fa), np.abs(fb)))
-
-
 def compare_st(
     a: FiniteMarginal | GridDensityPair,
     b: FiniteMarginal | None = None,
@@ -99,20 +93,28 @@ def compare_st(
     if isinstance(a, GridDensityPair):
         if b is not None:
             raise ValidationError("pass either two marginals or one GridDensityPair")
-        return _st_on_grid(a)
+        return _pointwise_report("st", a.grid, a.cdf_x, a.cdf_y)
     if not isinstance(b, FiniteMarginal):
         raise ValidationError("comparing a finite marginal requires a second marginal")
-    return _st_on_marginals(a, b)
+    # a's keys plus b's others: a key both share keeps a's sign of zero, whatever the sort does
+    support = np.sort(np.concatenate((a.v, np.setdiff1d(b.v, a.v))))
+    return _pointwise_report("st", support, a.cdf(support), b.cdf(support))
+
+
+def _survival_mask(g: GridDensityPair) -> np.ndarray:
+    """The grid nodes where both survivals exceed SURVIVAL_FLOOR."""
+    mask = (g.survival_x > SURVIVAL_FLOOR) & (g.survival_y > SURVIVAL_FLOOR)
+    if not mask.any():
+        raise EmptyComparisonRegion("no grid node has both survivals above the floor")
+    return mask
 
 
 def compare_hr(g: GridDensityPair) -> PartialOrderReport:
     """Hazard rate order: the side with the everywhere-larger hazard precedes."""
-    mask = (g.survival_x > SURVIVAL_FLOOR) & (g.survival_y > SURVIVAL_FLOOR)
-    if not mask.any():
-        raise EmptyComparisonRegion("no grid node has both survivals above the floor")
+    mask = _survival_mask(g)
     rx = g.fx[mask] / g.survival_x[mask]
     ry = g.fy[mask] / g.survival_y[mask]
-    return _pointwise_report("hr", g.grid[mask], rx - ry, np.maximum(np.abs(rx), np.abs(ry)))
+    return _pointwise_report("hr", g.grid[mask], rx, ry)
 
 
 def compare_lr(g: GridDensityPair) -> PartialOrderReport:
@@ -129,24 +131,8 @@ def compare_lr(g: GridDensityPair) -> PartialOrderReport:
         raise EmptyComparisonRegion("fx is below the density floor everywhere")
     t = g.grid[mask]
     ratio = g.fy[mask] / g.fx[mask]
-    steps = np.diff(ratio)
-    if steps.size == 0:
-        return PartialOrderReport(
-            "lr", Verdict(Outcome.EQUAL, {"max_advantage": 0.0, "min_advantage": 0.0})
-        )
-    scale = np.maximum(np.abs(ratio[:-1]), np.abs(ratio[1:]))
-    tol = ABS_TOL + REL_TOL * scale
-    up = steps > tol
-    down = steps < -tol
-    evidence = {"max_advantage": float(steps.max()), "min_advantage": float(steps.min())}
-    if up.any() and down.any():
-        witness = (float(t[int(np.argmax(steps))]), float(t[int(np.argmin(steps))]))
-        return PartialOrderReport("lr", Verdict(Outcome.INCOMPARABLE, evidence), witness)
-    if up.any():
-        return PartialOrderReport("lr", Verdict(Outcome.FIRST_PRECEDES, evidence))
-    if down.any():
-        return PartialOrderReport("lr", Verdict(Outcome.SECOND_PRECEDES, evidence))
-    return PartialOrderReport("lr", Verdict(Outcome.EQUAL, evidence))
+    # each step of the ratio, at its left node; a single node has no step, hence equality
+    return _pointwise_report("lr", t[:-1], ratio[1:], ratio[:-1])
 
 
 def compare_mrl(g: GridDensityPair) -> PartialOrderReport:
@@ -155,14 +141,10 @@ def compare_mrl(g: GridDensityPair) -> PartialOrderReport:
     The remaining-life integral truncates at the last grid node, so values
     near the end of the grid are those of the truncated law.
     """
-    mask = (g.survival_x > SURVIVAL_FLOOR) & (g.survival_y > SURVIVAL_FLOOR)
-    if not mask.any():
-        raise EmptyComparisonRegion("no grid node has both survivals above the floor")
+    mask = _survival_mask(g)
     tail_x = _reverse_cumulative_trapezoid(g.survival_x, g.grid)
     tail_y = _reverse_cumulative_trapezoid(g.survival_y, g.grid)
     mrl_x = tail_x[mask] / g.survival_x[mask]
     mrl_y = tail_y[mask] / g.survival_y[mask]
     # smaller mean residual life argues the first side precedes
-    return _pointwise_report(
-        "mrl", g.grid[mask], mrl_y - mrl_x, np.maximum(np.abs(mrl_x), np.abs(mrl_y))
-    )
+    return _pointwise_report("mrl", g.grid[mask], mrl_y, mrl_x)

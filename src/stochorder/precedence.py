@@ -23,6 +23,12 @@ are the atoms' weighted contributions to that term; :func:`compare_all`
 builds the report from these sums, and every other function here reads
 it.  A difference that overflows to infinity contributes its limit p to
 K*, and an infinite L1 term, which leaves the cp-L1 verdict inconclusive.
+
+Every verdict is one rule, :func:`_trichotomy`, on two decision statistics,
+the first arguing that X precedes: (E(Y), E(X)), the (below, above) terms,
+and for sp whether P(X <= Y) >= 1/2 and whether P(Y <= X) >= 1/2.  So sp is
+equal when both reach 1/2, and also when neither does, which a total kept
+within 1e-12 of 1 allows.
 """
 
 from __future__ import annotations
@@ -44,8 +50,21 @@ from .verdicts import (
 EQUALITY_RTOL = 1e-12
 
 
-def _nearly_equal(a: float, b: float) -> bool:
-    return abs(a - b) <= EQUALITY_RTOL * max(abs(a), abs(b))
+def _trichotomy(first: float, second: float, evidence: dict[str, float]) -> Verdict:
+    """The joint-law decision rule: ``first`` argues that X precedes, ``second`` that Y does.
+
+    A non-finite statistic leaves the verdict inconclusive; statistics
+    within EQUALITY_RTOL relative of each other are equal; otherwise the
+    larger one wins.
+    """
+    if not (math.isfinite(first) and math.isfinite(second)):
+        return Verdict(Outcome.INCONCLUSIVE, evidence)
+    tol = EQUALITY_RTOL * max(abs(first), abs(second))
+    if first - second > tol:
+        return Verdict(Outcome.FIRST_PRECEDES, evidence)
+    if first - second < -tol:
+        return Verdict(Outcome.SECOND_PRECEDES, evidence)
+    return Verdict(Outcome.EQUAL, evidence)
 
 
 def _table(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]:
@@ -85,38 +104,9 @@ def event_probs(j: FiniteJointDistribution) -> EventProbs:
     return compare_all(j).probs
 
 
-def verdict_sp_from_probs(p_less: float, p_equal: float, p_greater: float) -> Verdict:
-    """Stochastic-precedence rule on raw event probabilities.
-
-    X precedes iff P(X <= Y) >= 1/2 while P(Y <= X) < 1/2; both holding
-    means equality in the order.  Because the two probabilities sum to at
-    least 1, a verdict always exists (the order is connex).
-    """
-    p_xley = p_less + p_equal
-    p_ylex = p_greater + p_equal
-    evidence = {"p_x_leq_y": p_xley, "p_y_leq_x": p_ylex}
-    first = p_xley >= 0.5
-    second = p_ylex >= 0.5
-    if first and second:
-        return Verdict(Outcome.EQUAL, evidence)
-    if first:
-        return Verdict(Outcome.FIRST_PRECEDES, evidence)
-    return Verdict(Outcome.SECOND_PRECEDES, evidence)
-
-
 def compare_sp(j: FiniteJointDistribution) -> Verdict:
     """Stochastic precedence order on a finite joint."""
     return compare_all(j).sp
-
-
-def verdict_mean_from_means(mean_x: float, mean_y: float) -> Verdict:
-    """Mean-order rule: the side with the smaller mean precedes."""
-    evidence = {"mean_x": mean_x, "mean_y": mean_y}
-    if _nearly_equal(mean_x, mean_y):
-        return Verdict(Outcome.EQUAL, evidence)
-    if mean_x < mean_y:
-        return Verdict(Outcome.FIRST_PRECEDES, evidence)
-    return Verdict(Outcome.SECOND_PRECEDES, evidence)
 
 
 def compare_mean(j: FiniteJointDistribution) -> Verdict:
@@ -141,25 +131,6 @@ def kstar_decompose(j: FiniteJointDistribution) -> DecompositionReport:
     return compare_all(j).kstar
 
 
-def verdict_from_decomposition(report: DecompositionReport) -> Verdict:
-    """Conditional-precedence rule on a two-term decomposition.
-
-    The side whose opposite event carries the larger share of the distance
-    precedes: below > above means the first variable precedes.  Equal terms
-    (including the degenerate 0 = 0 case of an almost-surely identical
-    pair) give equality; non-finite terms are inconclusive.
-    """
-    below, above = report.below_term, report.above_term
-    evidence = {"below_term": below, "above_term": above}
-    if not (math.isfinite(below) and math.isfinite(above)):
-        return Verdict(Outcome.INCONCLUSIVE, evidence)
-    if _nearly_equal(below, above):
-        return Verdict(Outcome.EQUAL, evidence)
-    if below > above:
-        return Verdict(Outcome.FIRST_PRECEDES, evidence)
-    return Verdict(Outcome.SECOND_PRECEDES, evidence)
-
-
 def compare_cp_l1(j: FiniteJointDistribution) -> Verdict:
     """Conditional L1 precedence order on a finite joint."""
     return compare_all(j).cp_l1
@@ -175,15 +146,16 @@ def _report(terms: dict[str, float]) -> ComparisonReport:
     probs = EventProbs(terms["p_less"], terms["p_equal"], terms["p_greater"])
     l1 = decomposition_from_terms(terms["l1_below"], terms["l1_above"], "L1")
     kstar = decomposition_from_terms(terms["kstar_below"], terms["kstar_above"], "K*")
-    return ComparisonReport(
-        sp=verdict_sp_from_probs(*probs),
-        mean=verdict_mean_from_means(terms["mean_x"], terms["mean_y"]),
-        cp_l1=verdict_from_decomposition(l1),
-        cp_kstar=verdict_from_decomposition(kstar),
-        l1=l1,
-        kstar=kstar,
-        probs=probs,
+    p_xley = probs.p_less + probs.p_equal
+    p_ylex = probs.p_greater + probs.p_equal
+    mean_x, mean_y = terms["mean_x"], terms["mean_y"]
+    sp = _trichotomy(p_xley >= 0.5, p_ylex >= 0.5, {"p_x_leq_y": p_xley, "p_y_leq_x": p_ylex})
+    mean = _trichotomy(mean_y, mean_x, {"mean_x": mean_x, "mean_y": mean_y})
+    cp_l1, cp_kstar = (
+        _trichotomy(below, above, {"below_term": below, "above_term": above})
+        for below, above in ((l1.below_term, l1.above_term), (kstar.below_term, kstar.above_term))
     )
+    return ComparisonReport(sp, mean, cp_l1, cp_kstar, l1, kstar, probs)
 
 
 def compare_all(j: FiniteJointDistribution) -> ComparisonReport:

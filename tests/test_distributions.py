@@ -308,6 +308,35 @@ class TestGridDensityPair:
         with pytest.raises(ValidationError, match=message):
             GridDensityPair.from_arrays(grid, fx, fy, normalize=True)
 
+    @pytest.mark.parametrize(
+        "grid, fx, fy",
+        [(["a", "b", "c"], [1, 1, 1], [1, 1, 1]), ([0, 1, 2], [1, object(), 1], [1, 1, 1])],
+    )
+    def test_non_numeric_values_rejected(self, grid, fx, fy):
+        for build in (GridDensityPair, GridDensityPair.from_arrays):
+            with pytest.raises(ValidationError, match="grid and densities must be numbers"):
+                build(grid, fx, fy)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_grid_steps_name_the_cause(self):
+        # the grid is checked by comparing neighbours, not by np.diff, which overflows here
+        for build in (GridDensityPair, GridDensityPair.from_arrays):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                build([0, 1e308, -1e308], [1, 1, 1], [1, 1, 1])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            GridDensityPair.from_arrays([0, 1e308, -1e308], [1, 1, 1], [1, 1, 1], normalize=True)
+        # strictly increasing, but the widest step overflows to inf
+        with pytest.raises(ValidationError, match="fx has a non-finite integral"):
+            GridDensityPair([-1.7e308, 1.7e308, 1.75e308], [0, 0, 1], [0, 1, 0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fx, fy, name", [([1e308] * 3, [1, 1, 1], "fx"), ([0.5] * 3, [1e308] * 3, "fy")])
+    def test_overflowing_integral_names_the_density(self, fx, fy, name):
+        with pytest.raises(ValidationError, match=f"{name} has a non-finite integral"):
+            GridDensityPair.from_arrays([0, 1, 2], fx, fy, normalize=True)
+        with pytest.raises(ValidationError, match=f"{name} has a non-finite integral"):
+            GridDensityPair([0, 1, 2], fx, fy)
+
     def test_from_functions_tabulates(self):
         grid = np.linspace(0.0, 16.0, 3201)
         g = GridDensityPair.from_functions(

@@ -56,6 +56,22 @@ class TestUsualStochasticOrder:
         assert compare_st(a, b).verdict.outcome is Outcome.FIRST_PRECEDES
         assert compare_st(b, a).verdict.outcome is Outcome.SECOND_PRECEDES
 
+    def test_signed_zero_support_keeps_the_first_sides_zero(self):
+        # a key both marginals hold (-0.0 == 0.0) enters the support once, with the
+        # first marginal's sign; an unstable sort of the joined supports could pick
+        # the second one's
+        a = make_marginal([(-0.0, 0.9)] + [(float(k), 0.1 / 39) for k in range(1, 40)])
+        b = make_marginal(
+            [(float(k), 0.3 / 40) for k in range(-40, 0)] + [(0.0, 0.1), (0.5, 0.5), (1000.0, 0.1)]
+        )
+        report = compare_st(a, b)
+        assert report.verdict.outcome is Outcome.INCOMPARABLE
+        assert report.witness == (0.0, -1.0)
+        assert math.copysign(1.0, report.witness[0]) == -1.0
+        mirrored = compare_st(b, a)
+        assert mirrored.witness == (-1.0, 0.0)
+        assert math.copysign(1.0, mirrored.witness[1]) == 1.0
+
     def test_grid_form(self):
         g = exponential_pair()
         assert compare_st(g).verdict.outcome is Outcome.FIRST_PRECEDES
@@ -137,6 +153,12 @@ class TestLikelihoodRatioOrder:
 
     def test_identical_equal(self):
         assert compare_lr(identical_pair()).verdict.outcome is Outcome.EQUAL
+
+    def test_increasing_ratio_evidence_clamped_at_zero(self):
+        # every step of fy / fx is positive; the smallest advantage is clamped at 0, as for st/hr/mrl
+        evidence = compare_lr(exponential_pair()).verdict.evidence
+        assert evidence["max_advantage"] > 0.0
+        assert evidence["min_advantage"] == 0.0
 
     def test_equal_mean_normals_incomparable(self):
         grid = np.linspace(-6.0, 6.0, 1201)

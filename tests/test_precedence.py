@@ -24,7 +24,6 @@ from stochorder import (
     marginal_y,
     swap,
 )
-from stochorder.precedence import verdict_from_decomposition
 
 from conftest import direct_kstar, direct_l1, random_joint, random_product_joint
 
@@ -148,11 +147,10 @@ class TestConditionalVerdicts:
         # with positive total, below > above is the same test as
         # normalized_below > 1/2
         for _ in range(100):
-            j = random_joint(rng)
-            for d in (l1_decompose(j), kstar_decompose(j)):
+            report = compare_all(random_joint(rng))
+            for d, v in ((report.l1, report.cp_l1), (report.kstar, report.cp_kstar)):
                 if d.total <= 0.0:
                     continue
-                v = verdict_from_decomposition(d)
                 if v.outcome is Outcome.FIRST_PRECEDES:
                     assert d.normalized_below > 0.5
                 elif v.outcome is Outcome.SECOND_PRECEDES:
@@ -326,6 +324,51 @@ class TestKstarAtNumericEdges:
 
     def test_distance_that_rounds_to_one(self):
         # 1e17 / (1 + 1e17) rounds to exactly 1.0
-        d = kstar_decompose(make_joint([(0.0, 1e17, 1.0)]))
+        report = compare_all(make_joint([(0.0, 1e17, 1.0)]))
+        d = report.kstar
         assert (d.below_term, d.above_term, d.total) == (1.0, 0.0, 1.0)
-        assert verdict_from_decomposition(d).outcome is Outcome.FIRST_PRECEDES
+        assert report.cp_kstar.outcome is Outcome.FIRST_PRECEDES
+
+
+def _off_by(rel: float) -> list:
+    """A joint whose L1, K* and mean statistics differ by about ``rel`` relative (x side larger)."""
+    return [(0.0, 1.0, 0.5), (1.0 + rel, 0.0, 0.5)]
+
+
+class TestDecisionRule:
+    """Every joint-law verdict is one trichotomy; these rows sit on its boundaries."""
+
+    @pytest.mark.parametrize(
+        "atoms, orders, outcome",
+        [
+            # sp: P(X <= Y) and P(Y <= X) at exactly 1/2
+            ([(0.0, 1.0, 0.5), (1.0, 0.0, 0.5)], ("sp",), Outcome.EQUAL),
+            ([(0.0, 1.0, 0.5), (1.0, 1.0, 0.25), (1.0, 0.0, 0.25)], ("sp",), Outcome.EQUAL),
+            ([(0.0, 1.0, 0.25), (1.0, 1.0, 0.25), (1.0, 0.0, 0.5)], ("sp",), Outcome.EQUAL),
+            # sp: one side one ulp below 1/2, the other one ulp above
+            ([(0.0, 1.0, 0.49999999999999994), (1.0, 0.0, 0.5000000000000001)], ("sp",),
+             Outcome.SECOND_PRECEDES),
+            ([(0.0, 1.0, 0.5000000000000001), (1.0, 0.0, 0.49999999999999994)], ("sp",),
+             Outcome.FIRST_PRECEDES),
+            # the statistics 5e-13 relative apart (K*: 2.5e-13) are equal; 4e-12 apart (K*: 2e-12) are not
+            (_off_by(0.5e-12), ("mean", "cp_l1", "cp_kstar"), Outcome.EQUAL),
+            (_off_by(-0.5e-12), ("mean", "cp_l1", "cp_kstar"), Outcome.EQUAL),
+            (_off_by(4e-12), ("mean", "cp_l1", "cp_kstar"), Outcome.SECOND_PRECEDES),
+            (_off_by(-4e-12), ("mean", "cp_l1", "cp_kstar"), Outcome.FIRST_PRECEDES),
+            # an infinite L1 term
+            ([(1e308, -1e308, 0.5), (0.0, 1.0, 0.5)], ("cp_l1",), Outcome.INCONCLUSIVE),
+        ],
+    )
+    def test_boundaries(self, atoms, orders, outcome):
+        report = compare_all(make_joint(atoms))
+        for order in orders:
+            assert getattr(report, order).outcome is outcome, order
+
+    def test_sp_equal_when_both_probabilities_round_below_half(self):
+        # the total is within 1e-12 of 1, so the masses are kept as given and
+        # both P(X <= Y) and P(Y <= X) are 0.4999999999999996
+        j = make_joint([(0.0, 1.0, 0.4999999999999996), (1.0, 0.0, 0.4999999999999996)])
+        for joint in (j, swap(j)):
+            verdict = compare_all(joint).sp
+            assert verdict.evidence == {"p_x_leq_y": 0.4999999999999996, "p_y_leq_x": 0.4999999999999996}
+            assert verdict.outcome is Outcome.EQUAL
