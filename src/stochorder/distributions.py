@@ -59,6 +59,14 @@ _ATOM = (3, "atom", "an (x, y, p) triple", "support value")
 _POINT = (2, "point", "a (value, p) pair", "value")
 
 
+def _floats(value, message: str) -> np.ndarray:
+    """``value`` as a new float array, or ValidationError(message) when it is not numbers."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(message) from None
+
+
 def _fsum(column: np.ndarray) -> float:
     return math.fsum(memoryview(column))  # reads the buffer; builds no list of floats
 
@@ -371,30 +379,24 @@ class PairedSample:
     y: np.ndarray
 
     def __post_init__(self):
-        try:
-            x = np.asarray(self.x, dtype=float)
-            y = np.asarray(self.y, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError("sample coordinates must be numbers") from None
+        x, y = (_floats(v, "sample coordinates must be numbers") for v in (self.x, self.y))
         if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
             raise ValidationError("sample coordinates must be 1-D arrays of equal length")
         if x.size < 1:
             raise ValidationError("sample must contain at least one pair")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValidationError("sample contains non-finite values")
-        _freeze(self, "xy", (x.copy(), y.copy()))
+        _freeze(self, "xy", (x, y))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "PairedSample":
         rows = list(pairs)
         if not rows:
             raise ValidationError("sample must contain at least one pair")
-        try:
-            arr = np.asarray(rows, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            arr = np.empty(0)
+        message = "pairs must be (x, y) tuples of numbers"
+        arr = _floats(rows, message)
         if arr.shape[1:] != (2,):
-            raise ValidationError("pairs must be (x, y) tuples of numbers")
+            raise ValidationError(message)
         return cls(arr[:, 0], arr[:, 1])
 
     @property
@@ -438,11 +440,8 @@ def _integral(name: str, f: np.ndarray, grid: np.ndarray) -> float:
 
 
 def _grid_arrays(grid, fx, fy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid and densities as finite float arrays of one 1-D shape: >= 3 nodes, strictly increasing."""
-    try:
-        grid, fx, fy = (np.asarray(a, dtype=float) for a in (grid, fx, fy))
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("grid and densities must be numbers") from None
+    """Grid and densities as new finite float arrays of one 1-D shape: >= 3 nodes, increasing."""
+    grid, fx, fy = (_floats(a, "grid and densities must be numbers") for a in (grid, fx, fy))
     if grid.ndim != 1 or grid.size < 3:
         raise ValidationError("grid must be 1-D with at least 3 nodes")
     if fx.shape != grid.shape or fy.shape != grid.shape:
@@ -481,7 +480,7 @@ class GridDensityPair:
                 raise ValidationError(
                     f"{name} integrates to {integral!r} under the trapezoid rule, not 1"
                 )
-        _freeze(self, ("grid", "fx", "fy"), (grid.copy(), fx.copy(), fy.copy()))
+        _freeze(self, ("grid", "fx", "fy"), (grid, fx, fy))
 
     @classmethod
     def from_arrays(cls, grid, fx, fy, normalize: bool = False) -> "GridDensityPair":
@@ -499,9 +498,9 @@ class GridDensityPair:
     @classmethod
     def from_functions(cls, grid, fx_fn, fy_fn, normalize: bool = True) -> "GridDensityPair":
         """Tabulate two density callables on a grid (normalized by default)."""
-        grid = np.asarray(grid, dtype=float)
-        fx = np.asarray([float(fx_fn(t)) for t in grid])
-        fy = np.asarray([float(fy_fn(t)) for t in grid])
+        grid = _floats(grid, "grid and densities must be numbers")
+        fx = [fx_fn(t) for t in grid.ravel()]  # a 0-d grid is rejected by shape, not by iteration
+        fy = [fy_fn(t) for t in grid.ravel()]
         return cls.from_arrays(grid, fx, fy, normalize=normalize)
 
     def __len__(self) -> int:

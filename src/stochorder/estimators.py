@@ -38,17 +38,20 @@ QUANTITIES = (
 #: Distinct-row count up to which the bootstrap uses multinomial weights
 #: over distinct pairs instead of per-resample index draws.
 _MULTINOMIAL_CUTOFF = 256
+MAX_SAMPLE_SIZE = 10**8  #: largest sample size a sampler draws, checked before allocating
+MAX_BOOTSTRAP = 10**5  #: largest bootstrap resample count
 
 
-def _integer(value, message: str, low: int = 1, high: float = math.inf) -> int:
-    """``value`` as an int in [low, high), through ``operator.index``: numpy
-    integers pass, floats do not."""
+def _integer(value, message: str, low: int, high: int) -> int:
+    """``value`` as an int in [low, high], through ``operator.index``: numpy
+    integers pass, floats do not.  Above ``high``, the message names it."""
     try:
         out = operator.index(value)
     except TypeError:
         out = None
-    if out is None or not low <= out < high:
-        raise ValidationError(f"{message}, got {value!r}")
+    if out is None or not low <= out <= high:
+        limit = f" up to {high}" if out is not None and out > high else ""
+        raise ValidationError(f"{message}{limit}, got {value!r}")
     return out
 
 
@@ -65,7 +68,7 @@ class SeededStream:
     seed: int
 
     def __post_init__(self):
-        seed = _integer(self.seed, "seed must be an unsigned 64-bit integer", 0, 2**64)
+        seed = _integer(self.seed, "seed must be an unsigned 64-bit integer", 0, 2**64 - 1)
         object.__setattr__(self, "seed", seed)
 
     def rng(self) -> np.random.Generator:
@@ -94,7 +97,7 @@ class EstimateWithCI:
 
 def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> PairedSample:
     """Draw n i.i.d. pairs from a finite joint by inverse cdf on the atom index."""
-    n = _integer(n, "sample size must be a positive integer")
+    n = _integer(n, "sample size must be a positive integer", 1, MAX_SAMPLE_SIZE)
     cum = np.cumsum(j.p)
     cum[-1] = 1.0  # guard against rounding in the final cumulative mass
     u = stream.rng().random(n)
@@ -190,7 +193,8 @@ def estimate_orders(
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
-    bootstrap = _integer(bootstrap, "bootstrap resample count must be a positive integer")
+    message = "bootstrap resample count must be a positive integer"
+    bootstrap = _integer(bootstrap, message, 1, MAX_BOOTSTRAP)
     if sample.n < 2:
         raise SampleTooSmall("confidence intervals require at least 2 pairs")
     stream = stream if stream is not None else SeededStream(0)
@@ -273,13 +277,10 @@ def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
     draw is uniform, produced by rejection sampling (acceptance rates
     1 - eps/2 for the band strip and 1/2 for the triangle box).
     """
-    d_band, d_triangle = band_triangle_densities(eps)
+    d_band, _ = band_triangle_densities(eps)
     eps = float(eps)
-    n = _integer(n, "sample size must be a positive integer")
-    band_mass = d_band * (eps - 0.5 * eps * eps)          # density x band area
-    triangle_mass = d_triangle * (0.5 * eps * eps)        # density x triangle area
-    if abs(band_mass + triangle_mass - 1.0) > 1e-9:
-        raise ValidationError("region masses do not sum to 1")  # unreachable
+    n = _integer(n, "sample size must be a positive integer", 1, MAX_SAMPLE_SIZE)
+    band_mass = d_band * (eps - 0.5 * eps * eps)  # density x band area; the triangle has the rest
 
     rng = stream.rng()
     in_band = rng.random(n) < band_mass

@@ -1,7 +1,9 @@
 """File formats: joint JSON and paired-sample CSV.
 
 Joint JSON: ``{"atoms": [{"x": <num>, "y": <num>, "p": <num>}, ...]}``.
-Sample CSV: header ``x,y``, one pair per row, decimal point, UTF-8.
+Sample CSV: header ``x,y``, one pair per row, decimal point, UTF-8.  Rows
+end in CRLF and each value is written as its float's shortest repr, so a
+write then a read gives back the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def write_joint_json(path, j: FiniteJointDistribution) -> None:
 
 
 def read_sample_csv(path) -> PairedSample:
-    pairs: list[tuple[float, float]] = []
+    values: list[float] = []  # x and y of each row in turn
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -64,15 +66,14 @@ def read_sample_csv(path) -> PairedSample:
                 raise InputFormatError(f"{path}: row {lineno}: non-numeric value") from exc
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InputFormatError(f"{path}: row {lineno}: non-finite value")
-            pairs.append((x, y))
-    if not pairs:
+            values.append(x)
+            values.append(y)
+    if not values:
         raise InputFormatError(f"{path}: no data rows")
-    return PairedSample.from_pairs(pairs)
+    return PairedSample(values[0::2], values[1::2])
 
 
 def write_sample_csv(path, sample: PairedSample) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in zip(sample.x, sample.y):
-            writer.writerow([repr(float(x)), repr(float(y))])
+        fh.write("x,y\r\n")
+        fh.writelines(map("{!r},{!r}\r\n".format, map(float, sample.x), map(float, sample.y)))

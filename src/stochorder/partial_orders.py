@@ -142,8 +142,11 @@ def compare_mrl(g: GridDensityPair) -> PartialOrderReport:
     near the end of the grid are those of the truncated law.
     """
     mask = _survival_mask(g)
-    tail_x = _reverse_cumulative_trapezoid(g.survival_x, g.grid)
-    tail_y = _reverse_cumulative_trapezoid(g.survival_y, g.grid)
+    with np.errstate(over="ignore"):  # reported below, naming the cause
+        tail_x = _reverse_cumulative_trapezoid(g.survival_x, g.grid)
+        tail_y = _reverse_cumulative_trapezoid(g.survival_y, g.grid)
+    if not (np.isfinite(tail_x).all() and np.isfinite(tail_y).all()):
+        raise ValidationError("the remaining-life integral overflows: the grid span is too large")
     mrl_x = tail_x[mask] / g.survival_x[mask]
     mrl_y = tail_y[mask] / g.survival_y[mask]
     # smaller mean residual life argues the first side precedes

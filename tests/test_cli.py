@@ -7,9 +7,17 @@ import sys
 
 import pytest
 
-from stochorder import make_joint, sample_joint, SeededStream, write_joint_json, write_sample_csv
+from stochorder import (
+    estimators,
+    make_joint,
+    sample_joint,
+    SeededStream,
+    write_joint_json,
+    write_sample_csv,
+)
 from stochorder.cli import _build_parser, main, render_json
-from stochorder.scenarios import REPRODUCTIONS
+from stochorder.estimators import QUANTITIES
+from stochorder.scenarios import REPRODUCTIONS, CheckResult
 
 EX1 = make_joint([(1000.0, 999.0, 0.6), (0.0, 999.0, 0.4)])
 
@@ -94,6 +102,28 @@ class TestEstimate:
         main(args)
         assert capsys.readouterr().out == first
 
+    def test_table_format(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        write_sample_csv(csv_path, sample_joint(EX1, 2000, SeededStream(3)))
+        args = ["estimate", "--input", str(csv_path), "--bootstrap", "50", "--seed", "4"]
+        assert main([*args, "--format", "table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n=2000  level=0.95  bootstrap=50  seed=4"
+        assert lines[1].split() == ["quantity", "point", "interval"]
+        rows = lines[2 : 2 + len(QUANTITIES)]
+        assert [row.split()[0] for row in rows] == list(QUANTITIES)
+        assert all(row.endswith("]") and "[" in row for row in rows)
+        assert lines[2 + len(QUANTITIES)] == ""
+        assert lines[3 + len(QUANTITIES)].startswith("order")
+        assert any(line.startswith("conditional K* precedence") for line in lines)
+
+    def test_oversized_bootstrap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_BOOTSTRAP", 5)
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("x,y\n1,2\n2,1\n")
+        assert main(["estimate", "--input", str(csv_path), "--bootstrap", "6"]) == 2
+        assert "must be a positive integer up to 5, got 6" in capsys.readouterr().err
+
     def test_identical_pairs_degenerate(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
         csv_path.write_text("x,y\n2.0,2.0\n2.0,2.0\n")
@@ -159,6 +189,14 @@ class TestSample:
         assert main(["sample", "--eps", "1.5", "--n", "10", "--out", str(tmp_path / "s.csv")]) == 2
         assert "eps" in capsys.readouterr().err
 
+    def test_oversized_n_exits_2_before_drawing(self, ex1_json, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_SAMPLE_SIZE", 10)
+        out = tmp_path / "s.csv"
+        for source in (["--eps", "0.3"], ["--input", ex1_json]):
+            assert main(["sample", *source, "--n", "11", "--out", str(out)]) == 2
+            assert "sample size must be a positive integer up to 10, got 11" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_exits_2(self, ex1_json, tmp_path, capsys):
         out = str(tmp_path / "missing-dir" / "s.csv")
         assert main(["sample", "--input", ex1_json, "--n", "10", "--out", out]) == 2
@@ -187,6 +225,15 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "example1" in out and "example2" in out
         assert "conditional K* precedence" in out
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        failing = [CheckResult("forced", 1, 2, passed=False), CheckResult("info", 1, 2, False, False)]
+        monkeypatch.setitem(REPRODUCTIONS, "example1", lambda eps, n, seed: failing)
+        assert main(["reproduce", "example1"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] example1.forced: expected 1, computed 2" in captured.out
+        assert "[NOTE] example1.info" in captured.out
+        assert captured.err == "1 check(s) failed\n"
 
     def test_choices_are_the_registry(self):
         sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -253,6 +253,13 @@ class TestPairedSample:
             with pytest.raises(ValidationError, match=r"pairs must be \(x, y\) tuples"):
                 PairedSample.from_pairs(pairs)
 
+    def test_callers_arrays_are_neither_frozen_nor_aliased(self):
+        x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        s = PairedSample(x, y)
+        assert x.flags.writeable and y.flags.writeable
+        x[0] = y[0] = 9.0
+        assert s.pairs() == [(1.0, 3.0), (2.0, 4.0)]
+
     @pytest.mark.parametrize("x, y", [(["a"], [1.0]), ([1.0], [object()]), ([10**400], [1.0])])
     def test_non_numeric_coordinates_rejected(self, x, y):
         with pytest.raises(ValidationError, match="sample coordinates must be numbers"):
@@ -345,6 +352,25 @@ class TestGridDensityPair:
         # cdf of exp(1) at t=1 is 1 - e^{-1}
         node = int(np.searchsorted(grid, 1.0))
         assert g.cdf_x[node] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "grid, fn, message",
+        [
+            (["a", "b", "c"], lambda t: 1.0, "grid and densities must be numbers"),
+            ([0, 1, 2], lambda t: "x", "grid and densities must be numbers"),
+            ([0, 1, 2], lambda t: object(), "grid and densities must be numbers"),
+            ([0, 1, 2], lambda t: np.array([1.0]), "densities must match the grid shape"),
+            (5.0, lambda t: 1.0, "grid must be 1-D"),
+        ],
+    )
+    def test_from_functions_rejects_what_is_not_numbers(self, grid, fn, message):
+        with pytest.raises(ValidationError, match=message):
+            GridDensityPair.from_functions(grid, fn, fn)
+
+    def test_callers_arrays_are_not_frozen(self):
+        grid, f = np.linspace(0, 1, 11), np.ones(11)
+        GridDensityPair(grid, f, f)
+        assert grid.flags.writeable and f.flags.writeable
 
     def test_arrays_are_frozen(self):
         grid = np.linspace(0, 1, 11)

@@ -19,6 +19,7 @@ from stochorder import (
     sample_example4,
     sample_joint,
 )
+from stochorder import estimators
 from stochorder.estimators import band_triangle_densities
 from stochorder.scenarios import example4_spec
 
@@ -74,6 +75,35 @@ class TestSampleJoint:
         a = sample_joint(EX1, np.int64(50), SeededStream(3))
         b = sample_joint(EX1, 50, SeededStream(3))
         assert a.n == 50 and np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+class TestSizeCaps:
+    # the caps are lowered, so no test ever requests an oversized allocation
+    def test_sample_size_cap(self, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_SAMPLE_SIZE", 10)
+        assert sample_joint(EX1, 10, SeededStream(0)).n == 10
+        assert sample_example4(0.3, 10, SeededStream(0)).n == 10
+        message = "sample size must be a positive integer up to 10, got 11"
+        with pytest.raises(ValidationError, match=message):
+            sample_joint(EX1, 11, SeededStream(0))
+        with pytest.raises(ValidationError, match=message):
+            sample_example4(0.3, 11, SeededStream(0))
+        with pytest.raises(ValidationError, match="up to 10, got np.int64"):
+            sample_joint(EX1, np.int64(11), SeededStream(0))
+        with pytest.raises(ValidationError, match="sample size must be a positive integer, got 0"):
+            sample_joint(EX1, 0, SeededStream(0))
+
+    def test_bootstrap_cap(self, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_BOOTSTRAP", 5)
+        sample = PairedSample(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
+        assert estimate_orders(sample, bootstrap=5).bootstrap == 5
+        with pytest.raises(ValidationError, match="resample count must be a positive integer up to 5"):
+            estimate_orders(sample, bootstrap=6)
+
+    def test_defaults(self):
+        assert estimators.MAX_SAMPLE_SIZE == 10**8 and estimators.MAX_BOOTSTRAP == 10**5
+        with pytest.raises(ValidationError, match="up to 18446744073709551615, got 18446744073709551616"):
+            SeededStream(2**64)
 
 
 class TestEstimateOrders:

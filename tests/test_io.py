@@ -70,6 +70,16 @@ class TestSampleCsv:
         assert np.array_equal(loaded.x, sample.x)
         assert np.array_equal(loaded.y, sample.y)
 
+    def test_bytes_are_pinned(self, tmp_path):
+        # CRLF rows and each float's shortest repr, as csv.writer wrote them
+        sample = PairedSample(np.array([0.1, 1e-17, 2.0]), np.array([3.25, -0.0, -1.5e300]))
+        path = tmp_path / "s.csv"
+        write_sample_csv(path, sample)
+        assert path.read_bytes() == b"x,y\r\n0.1,3.25\r\n1e-17,-0.0\r\n2.0,-1.5e+300\r\n"
+        loaded = read_sample_csv(path)
+        for got, want in ((loaded.x, sample.x), (loaded.y, sample.y)):
+            assert got.tobytes() == want.tobytes()  # bit-exact, -0.0 included
+
     def test_header(self, tmp_path):
         path = tmp_path / "s.csv"
         write_sample_csv(path, PairedSample(np.array([1.0]), np.array([2.0])))

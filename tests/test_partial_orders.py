@@ -203,6 +203,15 @@ class TestMeanResidualLifeOrder:
     def test_identical_equal(self):
         assert compare_mrl(identical_pair()).verdict.outcome is Outcome.EQUAL
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_tail_integral_names_the_cause(self):
+        # a valid grid whose span exceeds the largest float: each step is finite, their sum is not
+        f = [0.0, 0.0, 2 / 1.7e308]
+        g = GridDensityPair([-1.7e308, 0.0, 1.7e308], f, f)
+        assert compare_st(g).verdict.outcome is Outcome.EQUAL
+        with pytest.raises(ValidationError, match="remaining-life integral overflows"):
+            compare_mrl(g)
+
     def test_hr_ordered_pair_is_mrl_ordered(self):
         g = exponential_pair()
         assert compare_hr(g).verdict.outcome is Outcome.FIRST_PRECEDES
