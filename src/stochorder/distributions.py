@@ -335,7 +335,10 @@ def _transform_value(phi, t: float) -> float:
             out = phi(t)
         except Exception as exc:
             raise UndefinedAtSupport(f"transform failed at support point {t!r}") from exc
-    out = float(out)
+    try:
+        out = float(out)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UndefinedAtSupport(f"transform value at support point {t!r} is not a number") from exc
     if not math.isfinite(out):
         raise UndefinedAtSupport(f"transform is not finite at support point {t!r}")
     return out

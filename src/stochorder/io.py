@@ -3,7 +3,12 @@
 Joint JSON: ``{"atoms": [{"x": <num>, "y": <num>, "p": <num>}, ...]}``.
 Sample CSV: header ``x,y``, one pair per row, decimal point, UTF-8.  Rows
 end in CRLF and each value is written as its float's shortest repr, so a
-write then a read gives back the same floats bit for bit.
+write then a read gives back the same floats bit for bit.  A read parses
+the rows with numpy's C reader; a file it cannot take whole (quoted fields,
+``1_000``, non-ASCII digits, a non-finite value or a row that is not two
+columns) is read again by a ``csv`` loop, which accepts what ``float`` does
+and otherwise names the bad row.  Either way a file gives the same floats,
+or the same error.
 """
 
 from __future__ import annotations
@@ -11,7 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from operator import itemgetter
+
+import numpy as np
 
 from .distributions import FiniteJointDistribution, PairedSample, make_joint
 from .errors import InputFormatError
@@ -47,14 +55,34 @@ def write_joint_json(path, j: FiniteJointDistribution) -> None:
 
 
 def read_sample_csv(path) -> PairedSample:
+    with open(path, newline="", encoding="utf-8") as fh:
+        _check_header(path, csv.reader(fh))
+        try:
+            with warnings.catch_warnings():  # no rows: the loop names that case
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            table = None
+    if table is not None and len(table) and table.shape[1] == 2 and np.isfinite(table).all():
+        return PairedSample(table[:, 0], table[:, 1])
+    return _read_sample_rows(path)  # accepts what loadtxt does not, or names the bad row
+
+
+def _check_header(path, reader) -> None:
+    header = next(reader, None)
+    if header is None:
+        raise InputFormatError(f"{path}: empty file")
+    if [col.strip() for col in header] != ["x", "y"]:
+        raise InputFormatError(f"{path}: header must be exactly 'x,y'")
+
+
+def _read_sample_rows(path) -> PairedSample:
+    """``read_sample_csv`` one row at a time: the ``csv`` module splits the
+    rows and ``float`` converts each value."""
     values: list[float] = []  # x and y of each row in turn
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputFormatError(f"{path}: empty file")
-        if [col.strip() for col in header] != ["x", "y"]:
-            raise InputFormatError(f"{path}: header must be exactly 'x,y'")
+        _check_header(path, reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue

@@ -179,6 +179,16 @@ class TestApplyTransform:
         with pytest.raises(UndefinedAtSupport):
             apply_transform(j, lambda t: float("inf"))
 
+    @pytest.mark.parametrize(
+        "phi",
+        [lambda t: "x", lambda t: [t, t], {0.0: 0.0, 999.0: "a", 1000.0: 1.0}],
+        ids=["string", "list", "table-string"],
+    )
+    def test_value_that_is_not_a_number(self, phi):
+        j = make_joint(EX1_ATOMS)
+        with pytest.raises(UndefinedAtSupport, match=r"support point .* is not a number"):
+            apply_transform(j, phi)
+
 
 class TestExpectation:
     def test_example_means(self):

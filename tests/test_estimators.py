@@ -222,6 +222,31 @@ class TestEstimateOrders:
         }
         assert doc["n"] == 1000 and doc["method"] == "bootstrap-percentile"
 
+    # the distinct pairs of a sample are ordered by (x, y), so a swap changes
+    # which pair each multinomial draw lands on: there only the points mirror
+    @pytest.mark.parametrize("path", ["index", "multinomial"])
+    def test_swapping_the_sample_mirrors_the_report(self, path):
+        if path == "index":
+            sample = sample_example4(0.3, 1000, SeededStream(3))
+        else:
+            joint = make_joint([(0, 1, 0.3), (1, 0, 0.2), (2, 2, 0.1), (3, 1, 0.4)])
+            sample = sample_joint(joint, 1000, SeededStream(3))
+        distinct = len(set(zip(sample.x.tolist(), sample.y.tolist())))
+        assert (distinct > estimators._MULTINOMIAL_CUTOFF) == (path == "index")
+        report = estimate_orders(sample, bootstrap=200, stream=SeededStream(6))
+        swapped = estimate_orders(PairedSample(sample.y, sample.x), bootstrap=200, stream=SeededStream(6))
+        for key in ("sp", "mean", "cp_l1", "cp_kstar"):
+            want = getattr(report.comparison, key).swapped().outcome
+            assert getattr(swapped.comparison, key).outcome is want
+        mirror = {"p_less": "p_greater", "l1_below": "l1_above", "kstar_below": "kstar_above"}
+        mirror.update({b: a for a, b in mirror.items()})
+        for name, other in mirror.items():
+            got, want = swapped.quantities[other], report.quantities[name]
+            assert got.point == want.point
+            if path == "index":
+                assert (got.ci_low, got.ci_high) == (want.ci_low, want.ci_high)
+        assert swapped.quantities["mean_diff"].point == -report.quantities["mean_diff"].point
+
 
 class TestSampleExample4:
     def test_invalid_eps(self):

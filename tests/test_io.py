@@ -1,9 +1,12 @@
 """JSON and CSV interchange formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     InputFormatError,
@@ -15,6 +18,7 @@ from stochorder import (
     write_joint_json,
     write_sample_csv,
 )
+from stochorder.io import _read_sample_rows
 
 EX1 = make_joint([(1000.0, 999.0, 0.6), (0.0, 999.0, 0.4)])
 
@@ -125,3 +129,94 @@ class TestSampleCsv:
         path = tmp_path / "s.csv"
         path.write_text("x,y\n1,2\n\n3,4\n")
         assert read_sample_csv(path).n == 2
+
+
+def _outcome(reader, path):
+    """The bits a reader returns, or the type and message of what it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = reader(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return sample.x.tobytes(), sample.y.tobytes()
+
+
+def _agree(path, text: str):
+    """Both readers' outcome on ``text``, after checking that they are the same."""
+    path.write_bytes(text.encode("utf-8"))
+    fast, rows = _outcome(read_sample_csv, path), _outcome(_read_sample_rows, path)
+    assert fast == rows
+    return fast
+
+
+SIXTY_DIGITS = "0." + "1234567890" * 5 + "1234567891"
+
+#: file text, then the pairs it holds or a fragment of the message it raises
+AGREEMENT_CASES = {
+    "blank-lines": ("x,y\n1,2\n\n3,4\n\n", [(1, 2), (3, 4)]),
+    "space-row": ("x,y\n1,2\n   \n3,4\n", "row 3: expected two columns"),
+    "tab-row": ("x,y\n1,2\n\t\n", "row 3: expected two columns"),
+    "vt-row": ("x,y\n1,2\n\x0b\n", "row 3: expected two columns"),
+    "ff-row": ("x,y\n1,2\n\x0c\n", "row 3: expected two columns"),
+    "space-only-file": ("x,y\n \n", "row 2: expected two columns"),
+    "spaces-and-tabs": ("x,y\n 1 , 2 \n\t3\t,\t4\t\n", [(1, 2), (3, 4)]),
+    "quoted": ('x,y\n"1","2"\n3,4\n', [(1, 2), (3, 4)]),
+    "quoted-comma": ('x,y\n"1,5",2\n', "row 2: non-numeric value"),
+    "underscore": ("x,y\n1_000,2\n", [(1000, 2)]),
+    "arabic-indic": ("x,y\n\u0661\u0662,\u0663\n", [(12, 3)]),
+    "nan": ("x,y\n1,2\nnan,3\n4,5\n", "row 3: non-finite value"),
+    "inf": ("x,y\n1,2\n3,4\n5,inf\n", "row 4: non-finite value"),
+    "Infinity": ("x,y\n1,2\n-Infinity,3\n", "row 3: non-finite value"),
+    "1e400": ("x,y\n1,2\n3,1e400\n", "row 3: non-finite value"),
+    "trailing-comma": ("x,y\n1,2,\n", "row 2: expected two columns"),
+    "one-column": ("x,y\n1\n2\n", "row 2: expected two columns"),
+    "three-columns": ("x,y\n1,2,3\n4,5,6\n", "row 2: expected two columns"),
+    "hex-float": ("x,y\n1,2\n0x1p3,2\n", "row 3: non-numeric value"),
+    "fortran-exponent": ("x,y\n1d3,2\n", "row 2: non-numeric value"),
+    "hash": ("x,y\n1,2 # note\n", "row 2: non-numeric value"),
+    "bom": ("\ufeffx,y\n1,2\n", "header must be exactly 'x,y'"),
+    "crlf": ("x,y\r\n1,2\r\n3,4\r\n", [(1, 2), (3, 4)]),
+    "lf": ("x,y\n1,2\n3,4\n", [(1, 2), (3, 4)]),
+    "lone-cr": ("x,y\r1,2\r3,4\r", [(1, 2), (3, 4)]),
+    "no-final-newline": ("x,y\r\n1,2\r\n3,4", [(1, 2), (3, 4)]),
+    "extreme-values": ("x,y\n-0.0,5e-324\n" + SIXTY_DIGITS + ",-1e-320\n",
+                       [(-0.0, 5e-324), (float(SIXTY_DIGITS), -1e-320)]),
+    "header-only": ("x,y\n", "no data rows"),
+    "header-and-blank-lines": ("x,y\n\n\r\n\r\n", "no data rows"),
+    "empty-file": ("", "empty file"),
+}
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+#: mostly numbers, padded or not; otherwise short text of number characters
+_FIELD = st.one_of(
+    _NUMBER,
+    st.tuples(st.sampled_from([" ", "  "]), _NUMBER, st.sampled_from(["", " "])).map("".join),
+    st.text(alphabet="0123456789+-.e_\" ", max_size=6),
+)
+_ROW = st.tuples(_FIELD, _FIELD).map(",".join)
+
+
+class TestReadersAgree:
+    """The C parse and the row loop give the same bits, or the same error."""
+
+    @pytest.mark.parametrize("text, want", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys())
+    def test_case(self, tmp_path, text, want):
+        got = _agree(tmp_path / "s.csv", text)
+        if isinstance(want, str):
+            assert got[0] is InputFormatError and want in got[1]
+        else:
+            xs, ys = np.array(want, dtype=float).T
+            assert got == (xs.tobytes(), ys.tobytes())
+
+    @given(
+        rows=st.lists(st.one_of(_ROW, _ROW, st.lists(_FIELD, max_size=3).map(",".join)), max_size=5),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        last=st.sampled_from(["", "\n", "\r\n", "\r"]),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property(self, tmp_path, rows, newline, last):
+        _agree(tmp_path / "s.csv", newline.join(["x,y", *rows]) + last)
