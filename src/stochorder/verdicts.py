@@ -9,7 +9,7 @@ is the preferred (larger) side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, NamedTuple
 
@@ -168,12 +168,4 @@ class ComparisonReport:
     probs: EventProbs
 
     def to_dict(self) -> dict:
-        return {
-            "sp": self.sp.to_dict(),
-            "mean": self.mean.to_dict(),
-            "cp_l1": self.cp_l1.to_dict(),
-            "cp_kstar": self.cp_kstar.to_dict(),
-            "l1": self.l1.to_dict(),
-            "kstar": self.kstar.to_dict(),
-            "probs": self.probs.to_dict(),
-        }
+        return {f.name: getattr(self, f.name).to_dict() for f in fields(self)}

@@ -78,6 +78,12 @@ class TestCompare:
         assert main(["compare", "--input", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_not_utf8_exits_2_naming_the_byte(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"atoms": [{"x": 1, "y": 2, "p": 1, "note": "\xff"}]}')
+        assert main(["compare", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte 45\n"
+
 
 class TestEstimate:
     def test_sampled_example_gives_y_side_cp_l1(self, tmp_path, capsys):
@@ -143,6 +149,19 @@ class TestEstimate:
         csv_path.write_text("x,y\n1,2\nbad,4\n")
         assert main(["estimate", "--input", str(csv_path)]) == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_not_utf8_exits_2_naming_the_byte(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_bytes(b"x,y\n1,2\n\xff,3\n")
+        assert main(["estimate", "--input", str(csv_path)]) == 2
+        assert capsys.readouterr().err == f"error: {csv_path}: not valid UTF-8 at byte 8\n"
+
+    def test_value_over_the_field_limit_exits_2_with_row_number(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("x,y\n1,2\n3,4\n" + "a" * 140_000 + ",5\n")
+        assert main(["estimate", "--input", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_path}: row 4: field larger than field limit (131072)\n"
 
     def test_single_row_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"

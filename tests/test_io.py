@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stochorder.io
 from stochorder import (
     InputFormatError,
     PairedSample,
@@ -56,6 +57,13 @@ class TestJointJson:
         path = tmp_path / "bad.json"
         path.write_text('{"atoms": [{"x": 1, "y": 2, "p": 0.5}, {"x": 3, "y": 4}]}')
         with pytest.raises(InputFormatError, match="atom 1"):
+            read_joint_json(path)
+
+    @pytest.mark.parametrize("head", [b"", b'{"atoms": [{"x": 1, "y": 2, "p": 1, "note": "', b" " * 20_000])
+    def test_not_utf8_names_the_byte(self, tmp_path, head):
+        path = tmp_path / "bad.json"
+        path.write_bytes(head + b'\xff"}]}')
+        with pytest.raises(InputFormatError, match=rf"bad\.json: not valid UTF-8 at byte {len(head)}$"):
             read_joint_json(path)
 
     def test_negative_mass_names_atom(self, tmp_path):
@@ -131,6 +139,48 @@ class TestSampleCsv:
         assert read_sample_csv(path).n == 2
 
 
+def _written(x, y) -> bytes:
+    """The bytes a sample CSV of these columns holds: the reference writer."""
+    rows = "".join(f"{a!r},{b!r}\r\n" for a, b in zip(x.tolist(), y.tolist()))
+    return ("x,y\r\n" + rows).encode("utf-8")
+
+
+#: a few values drawn often, so that columns repeat values within a chunk
+_POOL = st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5, 5e-324, 1e16, 1e-5, -1.5e300])
+_COLUMN_VALUE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _POOL)
+
+
+class TestWriter:
+    """The sample CSV writer against the one-row-at-a-time reference."""
+
+    @given(pairs=st.lists(st.tuples(_COLUMN_VALUE, _COLUMN_VALUE), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_the_reference(self, tmp_path, monkeypatch, pairs):
+        monkeypatch.setattr(stochorder.io, "_CHUNK_ROWS", 7)  # most examples span chunks
+        x, y = np.array(pairs, dtype=float).T
+        path = tmp_path / "s.csv"
+        write_sample_csv(path, PairedSample(x, y))
+        assert path.read_bytes() == _written(x, y)
+
+    def test_sample_straddling_a_chunk(self, tmp_path):
+        n = stochorder.io._CHUNK_ROWS + 1
+        x = np.arange(n, dtype=float) % 6 + 1.0
+        x[-1] = 0.1  # the second chunk holds one row, with a value the first never saw
+        y = np.linspace(-1.0, 1.0, n)
+        path = tmp_path / "s.csv"
+        write_sample_csv(path, PairedSample(x, y))
+        assert path.read_bytes() == _written(x, y)
+        loaded = read_sample_csv(path)
+        assert loaded.x.tobytes() == x.tobytes() and loaded.y.tobytes() == y.tobytes()
+
+    def test_signed_zeros_in_one_chunk(self, tmp_path):
+        x = np.array([0.0, -0.0, 0.0, -0.0, 1.0])
+        y = np.array([-0.0, -0.0, 0.0, 2.0, 0.0])
+        path = tmp_path / "s.csv"
+        write_sample_csv(path, PairedSample(x, y))
+        assert path.read_bytes() == b"x,y\r\n0.0,-0.0\r\n-0.0,-0.0\r\n0.0,0.0\r\n-0.0,2.0\r\n1.0,0.0\r\n"
+
+
 def _outcome(reader, path):
     """The bits a reader returns, or the type and message of what it raises."""
     try:
@@ -176,6 +226,9 @@ AGREEMENT_CASES = {
     "fortran-exponent": ("x,y\n1d3,2\n", "row 2: non-numeric value"),
     "hash": ("x,y\n1,2 # note\n", "row 2: non-numeric value"),
     "bom": ("\ufeffx,y\n1,2\n", "header must be exactly 'x,y'"),
+    "padded-header": (" x , y \n1,2\n", [(1, 2)]),
+    "quoted-header": ('"x","y"\n1,2\n', [(1, 2)]),
+    "over-field-limit": ("x,y\n1,2\n" + "a" * 140_000 + ",3\n", "row 3: field larger than field limit (131072)"),
     "crlf": ("x,y\r\n1,2\r\n3,4\r\n", [(1, 2), (3, 4)]),
     "lf": ("x,y\n1,2\n3,4\n", [(1, 2), (3, 4)]),
     "lone-cr": ("x,y\r1,2\r3,4\r", [(1, 2), (3, 4)]),
@@ -185,6 +238,17 @@ AGREEMENT_CASES = {
     "header-only": ("x,y\n", "no data rows"),
     "header-and-blank-lines": ("x,y\n\n\r\n\r\n", "no data rows"),
     "empty-file": ("", "empty file"),
+}
+
+#: rows of two-byte digits, shifted 0..4 bytes: one shift splits a digit across decoded chunks
+_DIGIT_ROWS = {pad: (b"x,y\n" + b" " * pad + "\u0661,2\n".encode("utf-8") * 3000) for pad in range(5)}
+
+#: bytes before the first that is not UTF-8, that byte, then the rest of the file
+NOT_UTF8 = {
+    "header": (b"x", b"\xff", b",y\n1,2\n"),
+    "row": (b"x,y\n1,2\n", b"\xff", b",3\n"),
+    "truncated-sequence": (b"x,y\n1,2\n3,", b"\xc3", b"(\n"),
+    **{f"late-{pad}": (rows, b"\xe2\x82", b"\n") for pad, rows in _DIGIT_ROWS.items()},
 }
 
 _NUMBER = st.one_of(
@@ -211,6 +275,22 @@ class TestReadersAgree:
         else:
             xs, ys = np.array(want, dtype=float).T
             assert got == (xs.tobytes(), ys.tobytes())
+
+    def test_value_over_the_field_limit(self, tmp_path):
+        # the one difference: a finite value too long for the csv module goes through the C parse
+        path = tmp_path / "s.csv"
+        path.write_text("x,y\n1,2\n0." + "0" * 140_000 + "1,3\n")
+        assert read_sample_csv(path).x.tolist() == [1.0, 0.0]
+        with pytest.raises(InputFormatError, match=r"s\.csv: row 3: field larger than field limit \(131072\)$"):
+            _read_sample_rows(path)
+
+    @pytest.mark.parametrize("head, bad, rest", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+    def test_not_utf8_names_the_byte(self, tmp_path, head, bad, rest):
+        path = tmp_path / "s.csv"
+        path.write_bytes(head + bad + rest)
+        for reader in (read_sample_csv, _read_sample_rows):
+            with pytest.raises(InputFormatError, match=rf"s\.csv: not valid UTF-8 at byte {len(head)}$"):
+                reader(path)
 
     @given(
         rows=st.lists(st.one_of(_ROW, _ROW, st.lists(_FIELD, max_size=3).map(",".join)), max_size=5),
