@@ -5,6 +5,8 @@ tabulated densities under the classical partial orders, and seeded
 statistical estimation from paired samples.
 """
 
+from types import ModuleType as _ModuleType
+
 from .distributions import (
     FiniteJointDistribution,
     FiniteMarginal,
@@ -77,63 +79,5 @@ from .verdicts import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonReport",
-    "DecompositionReport",
-    "EmptyComparisonRegion",
-    "EmptyDistribution",
-    "EstimateReport",
-    "EstimateWithCI",
-    "EventProbs",
-    "FiniteJointDistribution",
-    "FiniteMarginal",
-    "GridDensityPair",
-    "InputFormatError",
-    "InvalidEpsilon",
-    "NotNormalizable",
-    "Outcome",
-    "PairedSample",
-    "PartialOrderReport",
-    "SampleTooSmall",
-    "SeededStream",
-    "StochOrderError",
-    "SupportTooLarge",
-    "UndefinedAtSupport",
-    "ValidationError",
-    "Verdict",
-    "apply_transform",
-    "compare_all",
-    "compare_cp_kstar",
-    "compare_cp_l1",
-    "compare_hr",
-    "compare_lr",
-    "compare_mean",
-    "compare_mrl",
-    "compare_sp",
-    "compare_st",
-    "estimate_orders",
-    "event_probs",
-    "example1",
-    "example2",
-    "example4_spec",
-    "expectation",
-    "intransitive_demo",
-    "kstar_decompose",
-    "l1_decompose",
-    "make_joint",
-    "make_marginal",
-    "marginal_x",
-    "marginal_y",
-    "product_joint",
-    "read_joint_json",
-    "read_sample_csv",
-    "sample_example4",
-    "sample_joint",
-    "swap",
-    "transform_counterexample",
-    "verify_dice",
-    "verify_example4",
-    "verify_fixture",
-    "write_joint_json",
-    "write_sample_csv",
-]
+#: The names imported above, without the submodules that those imports bind.
+__all__ = sorted(k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, _ModuleType)))

@@ -84,6 +84,28 @@ class TestCompare:
         assert main(["compare", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte 45\n"
 
+    @pytest.mark.parametrize("text", [
+        '{"atoms": ' + "[" * 1000 + "]" * 1000 + "}",
+        '{"atoms": [{"x": 1, "y": 2, "p": ' + "1" * 4400 + "}]}",
+    ], ids=["1000-deep", "4400-digits"])
+    def test_unparseable_json_exits_2_with_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["compare", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_extra_atom_key_from_a_pipe(self):
+        # an extra key that holds x, y and p sends the file to the plain parse, which must
+        # parse the text already read: a pipe cannot be read twice
+        doc = '{"atoms": [{"x": 1000, "y": 999, "p": 0.6, "from": {"x": 0, "y": 0, "p": 0}}, {"x": 0, "y": 999, "p": 0.4}]}'
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochorder", "compare", "--input", "/dev/stdin", "--format", "json"],
+            input=doc, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["l1"]["below"] == 399.6
+
 
 class TestEstimate:
     def test_sampled_example_gives_y_side_cp_l1(self, tmp_path, capsys):
@@ -155,6 +177,15 @@ class TestEstimate:
         csv_path.write_bytes(b"x,y\n1,2\n\xff,3\n")
         assert main(["estimate", "--input", str(csv_path)]) == 2
         assert capsys.readouterr().err == f"error: {csv_path}: not valid UTF-8 at byte 8\n"
+
+    def test_quoted_csv_from_a_pipe(self):
+        # the row loop reads the pipe's bytes again, after the C parse gave up on them
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochorder", "estimate", "--input", "/dev/stdin"],
+            input='x,y\r\n"1",2\r\n3,4\r\n', capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("n=2  ")
 
     def test_value_over_the_field_limit_exits_2_with_row_number(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"

@@ -1,6 +1,8 @@
 """JSON and CSV interchange formats."""
 
 import json
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ import stochorder.io
 from stochorder import (
     InputFormatError,
     PairedSample,
+    StochOrderError,
     ValidationError,
     make_joint,
     read_joint_json,
@@ -19,7 +22,7 @@ from stochorder import (
     write_joint_json,
     write_sample_csv,
 )
-from stochorder.io import _read_sample_rows
+from stochorder.io import _joint_from_text, _read_sample_rows
 
 EX1 = make_joint([(1000.0, 999.0, 0.6), (0.0, 999.0, 0.4)])
 
@@ -300,3 +303,196 @@ class TestReadersAgree:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_property(self, tmp_path, rows, newline, last):
         _agree(tmp_path / "s.csv", newline.join(["x,y", *rows]) + last)
+
+
+def _piped(data: bytes) -> int:
+    """The read end of a pipe that holds ``data``, its write end closed."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)  # at most about 16 KiB: within a pipe buffer, so no reader is needed yet
+    os.close(write_end)
+    return read_end
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestReadFromAPipe:
+    """A pipe can be read once: each reader reads it through one handle."""
+
+    @pytest.mark.parametrize("text, want", [
+        ("x,y\r\n1,2\r\n3,4\r\n", [(1, 2), (3, 4)]),  # the C parse takes it
+        ('x,y\r\n"1",2\r\n3,4\r\n', [(1, 2), (3, 4)]),  # the loop reads it again
+        ("x,y\n1,2\nbad,4\n", "row 3: non-numeric value"),
+        ("", "empty file"),
+    ])
+    def test_sample_csv(self, text, want):
+        fd = _piped(text.encode())
+        try:
+            got = _outcome(read_sample_csv, f"/dev/fd/{fd}")
+        finally:
+            os.close(fd)
+        if isinstance(want, str):
+            assert got == (InputFormatError, f"/dev/fd/{fd}: {want}")
+        else:
+            xs, ys = np.array(want, dtype=float).T
+            assert got == (xs.tobytes(), ys.tobytes())
+
+    def test_sample_csv_not_utf8_names_the_byte(self):
+        head, bad, rest = NOT_UTF8["late-3"]
+        fd = _piped(head + bad + rest)
+        try:
+            with pytest.raises(InputFormatError, match=rf"not valid UTF-8 at byte {len(head)}$"):
+                read_sample_csv(f"/dev/fd/{fd}")
+        finally:
+            os.close(fd)
+
+    # an object inside an atom that also holds x, y and p sends the file to the plain parse
+    @pytest.mark.parametrize("extra", ["", ', "note": "an extra key"', ', "from": {"x": 0, "y": 0, "p": 0}'])
+    def test_joint_json(self, extra):
+        fd = _piped(('{"atoms": [{"x": 1, "y": 2, "p": 0.5%s}, {"x": 3, "y": 4, "p": 0.5}]}' % extra).encode())
+        try:
+            assert read_joint_json(f"/dev/fd/{fd}") == make_joint([(1, 2, 0.5), (3, 4, 0.5)])
+        finally:
+            os.close(fd)
+
+
+def _joint_outcome(reader, *args):
+    """The bits of the joint a reader returns, or the type and message of what it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            j = reader(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return j.x.tobytes(), j.y.tobytes(), j.p.tobytes()
+
+
+def _joints_agree(path, text: str):
+    """The outcome of ``read_joint_json`` on ``text``, after checking that the plain parse agrees."""
+    path.write_text(text, encoding="utf-8")
+    fast = _joint_outcome(read_joint_json, path)
+    assert fast == _joint_outcome(_joint_from_text, path, text)
+    return fast
+
+
+def _atoms(*atoms: str) -> str:
+    return '{"atoms": [' + ", ".join(atoms) + "]}"
+
+
+_A, _B = '"x": 1, "y": 2, "p": 0.25', '"x": 3, "y": 4, "p": 0.75'
+_AB = [(1, 2, 0.25), (3, 4, 0.75)]
+
+#: joint JSON text, then the atoms it holds or a fragment of the message it raises
+JOINT_CASES = {
+    "canonical": (_atoms("{%s}" % _A, "{%s}" % _B), _AB),
+    "permuted-keys": (_atoms('{"p": 0.25, "y": 2, "x": 1}', '{"y": 4, "p": 0.75, "x": 3}'), _AB),
+    "atom-extra-key": (_atoms('{%s, "note": "a"}' % _A, "{%s}" % _B), _AB),
+    "top-extra-key": ('{"meta": {"n": 2}, "atoms": [{%s}, {%s}]}' % (_A, _B), _AB),
+    "xyp-nested-in-atom": (_atoms('{%s, "from": {"x": 9, "y": 9, "p": 9}}' % _A, "{%s}" % _B), _AB),
+    "xyp-nested-partly": (_atoms('{%s, "from": {"x": 9, "y": "9", "p": 9}}' % _A, "{%s}" % _B), _AB),
+    "xyp-at-top": ('{"x": 9, "y": 9, "p": 9, "atoms": [{%s}, {%s}]}' % (_A, _B), _AB),
+    "atom-in-a-list": (_atoms("[{%s}]" % _A.replace("0.25", "1")), "atom 0: expected an object with x, y and p"),
+    "duplicate-key": (_atoms('{"x": 7, %s}' % _A, "{%s}" % _B), _AB),
+    "duplicate-atoms": ('{"atoms": [{"x": 7, "y": 7, "p": 1}], "atoms": [{%s}, {%s}]}' % (_A, _B), _AB),
+    "string-number": (_atoms('{"x": "1", "y": 2, "p": 0.25}', "{%s}" % _B), _AB),
+    "true-mass": (_atoms('{"x": 1, "y": 2, "p": true}'), [(1, 2, 1)]),
+    "null": (_atoms('{"x": null, "y": 2, "p": 1}'), "atom 0: expected an (x, y, p) triple"),
+    "2**53+1": (_atoms('{"x": %d, "y": 2, "p": 1}' % (2**53 + 1)), [(2.0**53, 2, 1)]),
+    "400-digit-int": (_atoms('{"x": 1%s, "y": 2, "p": 1}' % ("0" * 399)), "atom 0: expected an (x, y, p) triple"),
+    "minus-zero": (_atoms('{"x": -0, "y": -0.0, "p": 1}'), [(0.0, -0.0, 1)]),
+    "NaN": (_atoms('{"x": NaN, "y": 2, "p": 1}'), "atom 0: non-finite support value"),
+    "Infinity": (_atoms('{"x": 1, "y": 2, "p": Infinity}'), "atom 0: invalid mass inf"),
+    "empty-atoms": (_atoms(), "no atom carries positive mass"),
+    "missing-key": (_atoms("{%s}" % _A, '{"x": 3, "y": 4}'), "atom 1: expected an object with x, y and p"),
+    "non-object-atom": (_atoms("{%s}" % _A, "[3, 4, 0.75]"), "atom 1: expected an object with x, y and p"),
+    "no-atoms-key": ('{"rows": []}', 'expected an object of the form {"atoms": [...]}'),
+    "top-level-list": ("[{%s}]" % _A, 'expected an object of the form {"atoms": [...]}'),
+}
+
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(), st.sampled_from([2**53 + 1, 10**400]), st.text(max_size=2),
+)
+_JSON = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["x", "y", "p", "atoms", "note"]), inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+_NUMBER_VALUE = st.one_of(st.integers(-3, 3), st.floats(-4, 4), st.sampled_from([-0.0, 2**53 + 1, True]))
+_ODD_VALUE = st.one_of(_JSON, st.sampled_from([10**400, "1", None, float("nan")]))
+
+
+@st.composite
+def _joint_docs(draw):
+    """Joint JSON documents, mostly well formed, each atom with one drawn fault in five."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    n = draw(st.integers(0, 4))
+    atoms: list = [{"x": draw(_NUMBER_VALUE), "y": draw(_NUMBER_VALUE), "p": 1 / n} for _ in range(n)]
+    for i, atom in enumerate(atoms):
+        fault = draw(st.sampled_from(["value", "extra-key", "drop-key", "in-a-list", "nested-xyp"] + [None] * 20))
+        key = draw(st.sampled_from("xyp"))
+        if fault == "value":
+            atom[key] = draw(_ODD_VALUE)
+        elif fault == "extra-key":
+            atom["note"] = draw(_JSON)
+        elif fault == "drop-key":
+            del atom[key]
+        elif fault == "in-a-list":
+            atoms[i] = [atom]
+        elif fault == "nested-xyp":
+            atom["from"] = {"x": draw(_NUMBER_VALUE), "y": draw(_ODD_VALUE), "p": 1}
+    doc = {"atoms": atoms}
+    if draw(st.integers(0, 4)) == 0:
+        doc[draw(st.sampled_from(["x", "y", "p", "meta"]))] = draw(st.one_of(_NUMBER_VALUE, _JSON))
+    return doc
+
+
+class TestJointReadersAgree:
+    """The parse into one float buffer and the plain parse give the same bits, or the same error."""
+
+    @pytest.mark.parametrize("text, want", JOINT_CASES.values(), ids=JOINT_CASES.keys())
+    def test_case(self, tmp_path, text, want):
+        got = _joints_agree(tmp_path / "joint.json", text)
+        if isinstance(want, str):
+            assert issubclass(got[0], StochOrderError) and want in got[1]
+        else:
+            j = make_joint(want)
+            assert got == (j.x.tobytes(), j.y.tobytes(), j.p.tobytes())
+
+    @given(doc=_joint_docs(), sort_keys=st.booleans())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property(self, tmp_path, doc, sort_keys):
+        _joints_agree(tmp_path / "joint.json", json.dumps(doc, sort_keys=sort_keys))
+
+    def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        # the parsed document never holds the atoms: each dict goes as soon as it is read
+        rng = np.random.default_rng(0)
+        n = 20_000
+        x, y = np.round(rng.standard_normal((2, n)), 3)
+        p = rng.random(n)
+        atoms = [{"x": a, "y": b, "p": c} for a, b, c in zip(x.tolist(), y.tolist(), (p / p.sum()).tolist())]
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"atoms": atoms}), encoding="utf-8")
+        del atoms
+        tracemalloc.start()
+        try:
+            read_joint_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
+
+    @pytest.mark.parametrize("depth", [1000, 100_000])
+    def test_deep_nesting_is_an_input_error(self, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        path.write_text('{"atoms": ' + "[" * depth + "]" * depth + "}")
+        with pytest.raises(InputFormatError, match=r"deep\.json: "):
+            read_joint_json(path)
+
+    def test_integer_over_the_digit_limit_is_an_input_error(self, tmp_path):
+        # where Python has no digit limit, the integer overflows a float and the atom is named
+        path = tmp_path / "long.json"
+        path.write_text(_atoms('{"x": 1, "y": 2, "p": %s}' % ("1" * 4400)))
+        with pytest.raises(StochOrderError, match=r"long\.json: |atom 0: "):
+            read_joint_json(path)
