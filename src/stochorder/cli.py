@@ -3,14 +3,16 @@
 Subcommands: ``compare`` (joint JSON in, all four verdicts out),
 ``estimate`` (sample CSV in, bootstrap report out), ``sample`` (draw pairs
 to CSV) and ``reproduce`` (run the canonical scenarios and check their
-expected blocks).  Exit codes: 0 success, 1 reproduction failure, 2 input
-error.  All randomness is controlled by --seed; there is no hidden entropy.
+expected blocks).  Exit codes: 0 success, 1 reproduction failure or a
+closed stdout, 2 input error.  All randomness is controlled by --seed;
+there is no hidden entropy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import StochOrderError
@@ -186,7 +188,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        print(end="", flush=True)  # a reader gone from stdout shows here, not at exit
+        return status
+    except BrokenPipeError:  # the reader of stdout has gone: not an input error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush then succeeds
+        return 1
     except (StochOrderError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

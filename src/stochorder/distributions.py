@@ -23,8 +23,8 @@ demand positive masses, unique keys and a total within 1e-12 of 1.
 
 Mass bookkeeping uses ``math.fsum`` throughout, so the total-mass invariant
 (sum = 1 within 1e-12) holds at any support size.  Building a law is one
-grouped reduction: a stable sort, group boundaries found with ``!=``, and
-``fsum`` over each group that holds duplicates.
+grouped reduction: a stable sort, group boundaries found with ``!=`` one
+key at a time, and ``fsum`` over each group that holds duplicates.
 """
 
 from __future__ import annotations
@@ -78,23 +78,33 @@ def _freeze(obj, names: Iterable[str], arrays: Iterable[np.ndarray]) -> None:
         object.__setattr__(obj, name, array)
 
 
-def _grouped(keys: list[np.ndarray], p: np.ndarray) -> list[np.ndarray]:
-    """Merge equal keys: the key columns of each group, then its fsum'd mass.
+def _grouped(keys: list[np.ndarray], p: np.ndarray | None = None) -> list[np.ndarray]:
+    """Merge equal keys: the key columns of each group, then its fsum'd mass,
+    or its row count when ``p`` is None (the fsum of unit masses, bit for bit).
 
     Groups come out sorted by the keys, the first key primary.  Keys are
     compared with ``==``, so -0.0 joins 0.0; the stable sort keeps each
-    group's first-seen key.  Only groups that hold duplicates are summed.
+    group's first-seen key.  The boundaries are found one sorted key at a
+    time, and only groups that hold duplicates are summed.
     """
     order = np.lexsort(keys[::-1])
-    keys, p = [k[order] for k in keys], p[order]
-    starts = np.flatnonzero(np.r_[True, np.logical_or.reduce([k[1:] != k[:-1] for k in keys])])
-    ends = np.r_[starts[1:], p.size]
-    mass = p[starts]
-    shared = np.flatnonzero(ends - starts > 1)
-    masses = memoryview(p)
-    bounds = zip(starts[shared].tolist(), ends[shared].tolist())
-    mass[shared] = [math.fsum(masses[a:b]) for a, b in bounds]
-    return [k[starts] for k in keys] + [mass]
+    p = p if p is None else p[order]  # masses first: gathered after the keys, peak RSS rose 98 -> 116 MB
+    new = np.r_[True, np.zeros(order.size - 1, dtype=bool)]  # where each group starts
+    for k in keys:  # one gathered key column alive at a time
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    ends = np.r_[starts[1:], order.size]
+    firsts = order[starts]  # the row where each group is first seen
+    if p is None:
+        mass = (ends - starts).astype(float)
+    else:
+        mass = p[starts]
+        shared = np.flatnonzero(ends - starts > 1)
+        masses = memoryview(p)
+        bounds = zip(starts[shared].tolist(), ends[shared].tolist())
+        mass[shared] = [math.fsum(masses[a:b]) for a, b in bounds]
+    return [k[firsts] for k in keys] + [mass]
 
 
 def _at(row) -> str:
@@ -390,6 +400,13 @@ class PairedSample:
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValidationError("sample contains non-finite values")
         _freeze(self, "xy", (x, y))
+
+    @classmethod
+    def _from_columns(cls, x: np.ndarray, y: np.ndarray) -> "PairedSample":
+        """Wrap finite columns of one length that the library has just made: read-only, uncopied."""
+        sample = object.__new__(cls)
+        _freeze(sample, "xy", (x, y))
+        return sample
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "PairedSample":

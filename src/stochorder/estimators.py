@@ -100,9 +100,8 @@ def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> Pa
     n = _integer(n, "sample size must be a positive integer", 1, MAX_SAMPLE_SIZE)
     cum = np.cumsum(j.p)
     cum[-1] = 1.0  # guard against rounding in the final cumulative mass
-    u = stream.rng().random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    return PairedSample(j.x[idx], j.y[idx])
+    idx = np.searchsorted(cum, stream.rng().random(n), side="right")  # the draws are freed here
+    return PairedSample._from_columns(j.x[idx], j.y[idx])
 
 
 def _quantities(terms: dict) -> list:
@@ -163,14 +162,9 @@ class EstimateReport:
     comparison: ComparisonReport
 
     def to_dict(self) -> dict:
-        out = self.comparison.to_dict()
-        out["ci"] = {name: est.to_dict() for name, est in self.quantities.items()}
-        out["n"] = self.n
-        out["level"] = self.level
-        out["bootstrap"] = self.bootstrap
-        out["seed"] = self.seed
-        out["method"] = "bootstrap-percentile"
-        return out
+        ci = {name: est.to_dict() for name, est in self.quantities.items()}
+        run = {"n": self.n, "level": self.level, "bootstrap": self.bootstrap, "seed": self.seed}
+        return {**self.comparison.to_dict(), "ci": ci, **run, "method": "bootstrap-percentile"}
 
 
 def estimate_orders(
@@ -206,7 +200,7 @@ def estimate_orders(
         x, y = float(sample.x[i]), float(sample.y[i])
         raise ValidationError(f"pair {i}: y - x overflows at ({x!r}, {y!r})")
 
-    *pairs, counts = _grouped([sample.x, sample.y], np.ones(sample.n))
+    *pairs, counts = _grouped([sample.x, sample.y])
     terms = _terms(FiniteJointDistribution._from_columns(*pairs, counts / sample.n))
     points = np.array(_quantities(terms))
     replicates = _bootstrap_terms(sample, pairs, counts, stream.rng(), bootstrap)

@@ -10,7 +10,8 @@ the same text and read atom by atom: the same floats, or the bad atom named.
 Sample CSV: header ``x,y``, one pair per row, decimal point, UTF-8.  Rows
 end in CRLF and each value is its float's shortest repr, formatted once per
 distinct value in a chunk of rows, so a write then a read gives back the
-same floats bit for bit.  numpy's C reader parses a file; one it cannot take
+same floats bit for bit.  numpy's C reader parses a file into one table,
+whose columns the sample keeps as read-only views, no copy; one it cannot take
 whole (a padded or quoted header or field, ``1_000``, non-ASCII digits, a
 non-finite value, a row that is not two columns, bytes that are not UTF-8)
 is read again, through the same handle (a pipe's bytes are kept for it), by
@@ -102,7 +103,7 @@ def read_sample_csv(path) -> PairedSample:
         except ValueError:
             pass
         if table is not None and len(table) and table.shape[1] == 2 and np.isfinite(table).all():
-            return PairedSample(table[:, 0], table[:, 1])
+            return PairedSample._from_columns(table[:, 0], table[:, 1])  # views: no copy
         fh.seek(0)
         return _read_sample_rows(path, fh)
 
@@ -133,8 +134,7 @@ def _read_sample_rows(path, fh=None) -> PairedSample:
                 raise InputFormatError(f"{path}: row {lineno}: non-numeric value") from exc
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InputFormatError(f"{path}: row {lineno}: non-finite value")
-            values.append(x)
-            values.append(y)
+            values += (x, y)
     except csv.Error as exc:  # e.g. a value longer than csv.field_size_limit()
         raise InputFormatError(f"{path}: row {reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:  # exc.object is the failed chunk, which ends at tell()
@@ -142,7 +142,7 @@ def _read_sample_rows(path, fh=None) -> PairedSample:
         raise InputFormatError(f"{path}: not valid UTF-8 at byte {at}") from exc
     if not values:
         raise InputFormatError(f"{path}: no data rows")
-    return PairedSample(values[0::2], values[1::2])
+    return PairedSample._from_columns(*np.array(values).reshape(-1, 2).T)
 
 
 def write_sample_csv(path, sample: PairedSample) -> None:

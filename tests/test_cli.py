@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -186,6 +187,31 @@ class TestEstimate:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("n=2  ")
+
+    def test_closed_stdout_exits_1_without_a_message(self, tmp_path):
+        # the reader of stdout is gone before the command starts, as in `estimate ... | head -1`
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("x,y\n1,2\n2,1\n")
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "stochorder", "estimate", "--input", str(csv_path)],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_no_stdout_at_all_exits_0(self, tmp_path):
+        # with file descriptor 1 closed, sys.stdout is None and the output is dropped, as before
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("x,y\n1,2\n2,1\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "stochorder", "estimate", "--input", str(csv_path)],
+            stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_value_over_the_field_limit_exits_2_with_row_number(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"

@@ -26,6 +26,7 @@ from stochorder import (
     product_joint,
     swap,
 )
+from stochorder.distributions import _grouped
 
 from conftest import random_joint
 
@@ -274,6 +275,42 @@ class TestPairedSample:
     def test_non_numeric_coordinates_rejected(self, x, y):
         with pytest.raises(ValidationError, match="sample coordinates must be numbers"):
             PairedSample(x, y)
+
+
+def _first_seen_groups(keys):
+    """Reference for ``_grouped(keys, None)``: each group's first-seen key
+    (``==`` joins -0.0 and 0.0) and row count, sorted by key."""
+    groups = {}
+    for row in zip(*(k.tolist() for k in keys)):
+        first, count = groups.get(row, (row, 0.0))
+        groups[row] = (first, count + 1.0)
+    rows = [groups[key] for key in sorted(groups)]
+    return [np.array(column) for column in zip(*(first for first, _ in rows))] + [
+        np.array([count for _, count in rows])
+    ]
+
+
+class TestGrouped:
+    # few values, so most rows repeat a key and -0.0 and 0.0 often share a group
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 2), st.integers(1, 40))
+    def test_counts_are_the_fsum_of_unit_masses(self, data, width, n):
+        column = st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5]), min_size=n, max_size=n)
+        keys = [np.array(data.draw(column)) for _ in range(width)]
+        counted, summed = _grouped(keys, None), _grouped(keys, np.ones(n))
+        reference = _first_seen_groups(keys)
+        assert len(counted) == len(summed) == len(reference) == width + 1
+        for got, want, ref in zip(counted, summed, reference):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes() == ref.tobytes()  # bits: the first-seen zero's sign
+
+    def test_first_seen_signed_zero_is_kept(self):
+        x, y = np.array([1.0, -0.0, 0.0, -0.0]), np.array([0.0, 2.0, 2.0, 2.0])
+        gx, gy, counts = _grouped([x, y], None)
+        assert gx.tolist() == [0.0, 1.0] and np.signbit(gx).tolist() == [True, False]
+        assert gy.tolist() == [2.0, 0.0] and counts.tolist() == [3.0, 1.0]
+        gx, counts = _grouped([x[::-1]], None)
+        assert np.signbit(gx).tolist() == [True, False] and counts.tolist() == [3.0, 1.0]
 
 
 class TestGridDensityPair:
