@@ -325,14 +325,15 @@ def product_joint(
     my: FiniteMarginal,
     max_atoms: int = MAX_PRODUCT_ATOMS,
 ) -> FiniteJointDistribution:
-    """Independent coupling of two marginals: atoms (x, y, px * py)."""
+    """Independent coupling of two marginals: atoms (x, y, px * py), through
+    ``make_joint``, which drops masses that underflow and rescales the total."""
     if len(mx) * len(my) > max_atoms:
         raise SupportTooLarge(
             f"product support {len(mx)} x {len(my)} exceeds cap {max_atoms}"
         )
     x, px = np.repeat(mx.v, len(my)), np.repeat(mx.p, len(my))
     y, py = np.tile(my.v, len(mx)), np.tile(my.p, len(mx))
-    return FiniteJointDistribution(np.column_stack((x, y, px * py)))
+    return make_joint(np.column_stack((x, y, px * py)))
 
 
 def _transform_value(phi, t: float) -> float:
@@ -367,12 +368,12 @@ def apply_transform(
     support = {v for pair in zip(j.x.tolist(), j.y.tolist()) for v in pair}
     table = {t: _transform_value(phi, t) for t in support}
     mapped = [np.array([table[t] for t in column.tolist()]) for column in (j.x, j.y)]
-    return FiniteJointDistribution(np.column_stack(_grouped(mapped, j.p)))
+    return FiniteJointDistribution._from_columns(*_grouped(mapped, j.p))
 
 
 def swap(j: FiniteJointDistribution) -> FiniteJointDistribution:
     """The same joint with the two coordinates exchanged."""
-    return FiniteJointDistribution(np.column_stack((j.y, j.x, j.p)))
+    return FiniteJointDistribution._from_columns(*_grouped([j.y, j.x], j.p))
 
 
 def expectation(m: FiniteMarginal) -> float:

@@ -3,10 +3,10 @@
 The plug-in estimate is the exact engine run on the empirical joint: the
 distinct pairs of the sample, each weighted by its frequency, go through
 :func:`~stochorder.precedence.compare_all` unchanged.  Confidence intervals
-come from a seeded percentile bootstrap that weighs the same per-atom table
-of :mod:`~stochorder.precedence`, with unit weights, by resampled counts.
-All randomness flows through :class:`SeededStream`; there is no hidden
-entropy anywhere in this module.
+come from a seeded percentile bootstrap: the per-atom table of
+:mod:`~stochorder.precedence`, its six sided columns at a scalar unit weight,
+is one matrix that resampled counts weigh.  All randomness flows through
+:class:`SeededStream`; there is no hidden entropy anywhere in this module.
 """
 
 from __future__ import annotations
@@ -104,44 +104,30 @@ def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> Pa
     return PairedSample._from_columns(j.x[idx], j.y[idx])
 
 
-def _quantities(terms: dict) -> list:
-    """The estimated quantities, in QUANTITIES order, from joint-law terms.
-
-    E(Y) - E(X) is taken as l1_below - l1_above, since the difference of the
-    two means cancels catastrophically when the pairs sit far from 0.
-    """
-    return [terms[name] for name in QUANTITIES[:-1]] + [terms["l1_below"] - terms["l1_above"]]
-
-
-def _bootstrap_terms(
+def _replicates(
     sample: PairedSample,
     pairs: list[np.ndarray],
     counts: np.ndarray,
     rng: np.random.Generator,
     n_boot: int,
-) -> dict[str, np.ndarray]:
-    """Bootstrap replicates of the joint-law terms behind QUANTITIES, ``n_boot`` each.
+) -> np.ndarray:
+    """Bootstrap replicates of the six sided terms: one row each, in QUANTITIES order.
 
-    Each replicate weighs the per-pair transforms (the table at ``w = 1``)
-    by resampled counts.  The terms depend on the resample only through its
-    empirical measure, so resampling pairs with replacement is equivalent to
-    drawing multinomial counts over the distinct ``pairs``.  With few
-    distinct pairs that path is far cheaper; otherwise plain index
-    resampling over the sample's pairs is used.
+    Each replicate weighs the per-pair transforms, the table at ``w = 1``
+    stacked as one matrix, by resampled counts.  These depend only on the
+    resample's empirical measure, so with few distinct ``pairs``
+    multinomial counts over them replace index resampling of the sample.
     """
     n = sample.n
-    names = QUANTITIES[:-1]  # mean_diff is derived from l1_below and l1_above
-    if counts.size <= _MULTINOMIAL_CUTOFF:
-        table = _table(*pairs, np.ones(counts.size))
+    multinomial = counts.size <= _MULTINOMIAL_CUTOFF
+    columns = _table(*(pairs if multinomial else (sample.x, sample.y)), 1.0)
+    table = np.stack([columns.pop(name) for name in QUANTITIES[:-1]])  # popped: freed once stacked
+    if multinomial:
         weights = rng.multinomial(n, counts / n, size=n_boot).astype(float)
-        return {name: (weights @ table[name]) / n for name in names}
-    table = _table(sample.x, sample.y, np.ones(n))
-    out = np.empty((len(names), n_boot))
-    for b in range(n_boot):
-        idx = rng.integers(0, n, n)
-        w = np.bincount(idx, minlength=n).astype(float)
-        out[:, b] = [table[name] @ w for name in names]
-    return dict(zip(names, out / n))
+        return (table @ weights.T) / n
+    # one resample at a time: an (n_boot, n) count matrix would hold 8 * n_boot * n bytes
+    weights = (np.bincount(rng.integers(0, n, n), minlength=n).astype(float) for _ in range(n_boot))
+    return np.column_stack([table @ w for w in weights]) / n
 
 
 @dataclass(frozen=True)
@@ -182,10 +168,10 @@ def estimate_orders(
 
     Raises:
         SampleTooSmall: if fewer than 2 pairs are available.
-        ValidationError: if y - x overflows for some pair (the message
-            names the first).
+        ValidationError: if ``level`` is not a real number in (0, 1), or if
+            y - x overflows for some pair (the message names the first).
     """
-    if not 0.0 < level < 1.0:
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
     message = "bootstrap resample count must be a positive integer"
     bootstrap = _integer(bootstrap, message, 1, MAX_BOOTSTRAP)
@@ -202,12 +188,14 @@ def estimate_orders(
 
     *pairs, counts = _grouped([sample.x, sample.y])
     terms = _terms(FiniteJointDistribution._from_columns(*pairs, counts / sample.n))
-    points = np.array(_quantities(terms))
-    replicates = _bootstrap_terms(sample, pairs, counts, stream.rng(), bootstrap)
-    stats = np.column_stack(_quantities(replicates))
-    alpha = 100.0 * (1.0 - level) / 2.0
-    lo = np.percentile(stats, alpha, axis=0)
-    hi = np.percentile(stats, 100.0 - alpha, axis=0)
+    sided = [terms[name] for name in QUANTITIES[:-1]]
+    stats = np.column_stack([sided, _replicates(sample, pairs, counts, stream.rng(), bootstrap)])
+    # E(Y) - E(X) as l1_below - l1_above: the difference of the two means
+    # cancels catastrophically when the pairs sit far from 0
+    stats = np.vstack([stats, stats[QUANTITIES.index("l1_below")] - stats[QUANTITIES.index("l1_above")]])
+    points, replicates = stats[:, 0], stats[:, 1:]
+    alpha = 100.0 * (1.0 - float(level)) / 2.0
+    lo, hi = np.percentile(replicates, [alpha, 100.0 - alpha], axis=1)
     # quantile noise must not push the interval off its own point estimate
     lo = np.minimum(lo, points)
     hi = np.maximum(hi, points)
@@ -218,7 +206,7 @@ def estimate_orders(
     }
     return EstimateReport(
         n=sample.n,
-        level=level,
+        level=float(level),
         bootstrap=bootstrap,
         seed=stream.seed,
         quantities=quantities,

@@ -108,13 +108,10 @@ def read_sample_csv(path) -> PairedSample:
         return _read_sample_rows(path, fh)
 
 
-def _read_sample_rows(path, fh=None) -> PairedSample:
-    """``read_sample_csv`` one row at a time, from ``fh`` or else the file at
-    ``path``: the ``csv`` module splits the rows and ``float`` converts each
-    value."""
-    if fh is None:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _read_sample_rows(path, fh)
+def _read_sample_rows(path, fh) -> PairedSample:
+    """``read_sample_csv`` one row at a time, from ``fh``, the file at ``path``
+    opened with ``newline=""``: the ``csv`` module splits the rows and
+    ``float`` converts each value."""
     values: list[float] = []  # x and y of each row in turn
     reader = csv.reader(fh)
     try:

@@ -17,12 +17,13 @@ Four orders are provided:
   convergence in probability and takes values in [0, 1)), damping the
   influence of large differences.
 
-Atoms with x == y contribute to neither side of a decomposition.  Every
-term is the ``math.fsum`` of one column of a per-atom table, whose entries
-are the atoms' weighted contributions to that term; :func:`compare_all`
-builds the report from these sums, and every other function here reads
-it.  A difference that overflows to infinity contributes its limit p to
-K*, and an infinite L1 term, which leaves the cp-L1 verdict inconclusive.
+Atoms with x == y contribute to neither side of a decomposition.  The six
+sided terms, P, L1 and K* on {X < Y} and on {X > Y}, are the ``math.fsum``
+of the columns of a per-atom table; P(X = Y), E(X) and E(Y) are fsums
+beside it.  :func:`compare_all` builds the report from these sums, and
+every other function here reads it.  A difference that overflows to
+infinity contributes its limit p to K*, and an infinite L1 term, which
+leaves the cp-L1 verdict inconclusive.
 
 Every verdict is one rule, :func:`_trichotomy`, on two decision statistics,
 the first arguing that X precedes: (E(Y), E(X)), the (below, above) terms,
@@ -67,12 +68,12 @@ def _trichotomy(first: float, second: float, evidence: dict[str, float]) -> Verd
     return Verdict(Outcome.EQUAL, evidence)
 
 
-def _table(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-atom contributions of weight ``w`` to each joint-law term.
+def _table(x: np.ndarray, y: np.ndarray, w: np.ndarray | float) -> dict[str, np.ndarray]:
+    """Per-atom contributions of weight ``w`` to each sided term.
 
     Each term is the sum of its column.  With ``w`` the atom masses the sums
-    are the exact terms; with ``w = 1`` the columns hold the per-pair
-    transforms that a bootstrap weighs by resampled counts.
+    are the exact terms; with the scalar ``w = 1`` the columns hold the
+    per-pair transforms that a bootstrap weighs by resampled counts.
     """
     with np.errstate(over="ignore"):  # an overflow to +-inf keeps the sign of the difference
         d = y - x
@@ -83,20 +84,21 @@ def _table(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]
         kstar = np.where(np.isinf(dist), w, l1 / (1.0 + dist))
     return {
         "p_less": np.where(below, w, 0.0),
-        "p_equal": np.where(d == 0.0, w, 0.0),
         "p_greater": np.where(above, w, 0.0),
         "l1_below": np.where(below, l1, 0.0),
         "l1_above": np.where(above, l1, 0.0),
         "kstar_below": np.where(below, kstar, 0.0),
         "kstar_above": np.where(above, kstar, 0.0),
-        "mean_x": x * w,
-        "mean_y": y * w,
     }
 
 
 def _terms(j: FiniteJointDistribution) -> dict[str, float]:
-    """The exact terms of a joint: the fsum of each column of its mass-weighted table."""
-    return {name: _fsum(column) for name, column in _table(j.x, j.y, j.p).items()}
+    """The exact terms of a joint: the fsums of its mass-weighted table, P(X = Y), E(X) and E(Y)."""
+    terms = {name: _fsum(column) for name, column in _table(j.x, j.y, j.p).items()}
+    terms["p_equal"] = _fsum(np.where(j.x == j.y, j.p, 0.0))  # finite x, y: x == y iff y - x == 0
+    terms["mean_x"] = _fsum(j.x * j.p)
+    terms["mean_y"] = _fsum(j.y * j.p)
+    return terms
 
 
 def event_probs(j: FiniteJointDistribution) -> EventProbs:

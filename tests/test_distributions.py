@@ -139,6 +139,19 @@ class TestProductJoint:
         with pytest.raises(SupportTooLarge):
             product_joint(m, m, max_atoms=50)
 
+    @pytest.mark.parametrize(
+        "points, size",
+        [
+            ([(0.0, 0.5 + 0.9e-12), (1.0, 0.5)], 4),  # each total within 1e-12 of 1, the product's not
+            ([(0.0, 1e-200), (1.0, 1.0)], 3),  # 1e-200 * 1e-200 underflows to 0: that atom is dropped
+        ],
+    )
+    def test_product_of_valid_marginals_is_a_joint(self, points, size):
+        m = make_marginal(points)
+        j = product_joint(m, m)
+        assert len(j) == size and j.p.all()
+        assert abs(math.fsum(j.p) - 1.0) <= 1e-12
+
 
 class TestApplyTransform:
     def test_relabeling_table(self):

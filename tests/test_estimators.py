@@ -1,7 +1,9 @@
 """Sampling, plug-in estimation and bootstrap confidence intervals."""
 
+import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +185,37 @@ class TestEstimateOrders:
         report = estimate_orders(sample, bootstrap=np.int32(20))
         assert type(report.bootstrap) is int
         assert report.to_dict() == estimate_orders(sample, bootstrap=20).to_dict()
+
+    def test_bootstrap_weighs_one_table_at_unit_weight(self, monkeypatch):
+        # one table per bootstrap, over the rows its path resamples, at the
+        # scalar weight 1: no unit-weight column is allocated
+        calls = []
+
+        def spy(x, y, w):
+            calls.append((x.size, repr(w)))
+            return table(x, y, w)
+
+        table = estimators._table
+        monkeypatch.setattr(estimators, "_table", spy)
+        grid = make_joint([(float(a), float(b), 1.0 / 9.0) for a in range(3) for b in range(3)])
+        continuous = sample_example4(0.3, 600, SeededStream(1))
+        for sample, rows in ((sample_joint(grid, 600, SeededStream(1)), 9), (continuous, 600)):
+            calls.clear()
+            estimate_orders(sample, bootstrap=5)
+            assert calls == [(rows, "1.0")]
+
+    @pytest.mark.parametrize("level", ["0.5", None])
+    def test_level_that_is_not_a_number(self, level):
+        sample = PairedSample(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
+        with pytest.raises(ValidationError, match=rf"confidence level must be in \(0, 1\), got {level!r}$"):
+            estimate_orders(sample, level=level)
+
+    @pytest.mark.parametrize("level", [Fraction(19, 20), np.float32(0.95)])
+    def test_real_level_is_reported_as_a_float(self, level):
+        sample = PairedSample(np.arange(10.0), np.arange(10.0)[::-1])
+        report = estimate_orders(sample, level=level, bootstrap=20)
+        assert type(report.level) is float and report.level == float(level)
+        assert json.loads(json.dumps(report.to_dict()))["level"] == float(level)
 
     def test_deterministic_reports(self):
         sample = sample_joint(EX1, 5000, SeededStream(9))

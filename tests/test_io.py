@@ -184,6 +184,12 @@ class TestWriter:
         assert path.read_bytes() == b"x,y\r\n0.0,-0.0\r\n-0.0,-0.0\r\n0.0,0.0\r\n-0.0,2.0\r\n1.0,0.0\r\n"
 
 
+def _rows(path):
+    """``_read_sample_rows`` on the file at ``path``, opened as ``read_sample_csv`` opens it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _read_sample_rows(path, fh)
+
+
 def _outcome(reader, path):
     """The bits a reader returns, or the type and message of what it raises."""
     try:
@@ -198,7 +204,7 @@ def _outcome(reader, path):
 def _agree(path, text: str):
     """Both readers' outcome on ``text``, after checking that they are the same."""
     path.write_bytes(text.encode("utf-8"))
-    fast, rows = _outcome(read_sample_csv, path), _outcome(_read_sample_rows, path)
+    fast, rows = _outcome(read_sample_csv, path), _outcome(_rows, path)
     assert fast == rows
     return fast
 
@@ -285,13 +291,13 @@ class TestReadersAgree:
         path.write_text("x,y\n1,2\n0." + "0" * 140_000 + "1,3\n")
         assert read_sample_csv(path).x.tolist() == [1.0, 0.0]
         with pytest.raises(InputFormatError, match=r"s\.csv: row 3: field larger than field limit \(131072\)$"):
-            _read_sample_rows(path)
+            _rows(path)
 
     @pytest.mark.parametrize("head, bad, rest", NOT_UTF8.values(), ids=NOT_UTF8.keys())
     def test_not_utf8_names_the_byte(self, tmp_path, head, bad, rest):
         path = tmp_path / "s.csv"
         path.write_bytes(head + bad + rest)
-        for reader in (read_sample_csv, _read_sample_rows):
+        for reader in (read_sample_csv, _rows):
             with pytest.raises(InputFormatError, match=rf"s\.csv: not valid UTF-8 at byte {len(head)}$"):
                 reader(path)
 

@@ -14,6 +14,7 @@ from stochorder import (
     estimate_orders,
     make_joint,
     read_sample_csv,
+    sample_example4,
     sample_joint,
     write_sample_csv,
 )
@@ -81,3 +82,13 @@ def test_estimate_orders_peak_on_discrete_pairs(csv_path):
     report, peak = _peak(lambda: estimate_orders(sample, bootstrap=20))
     assert report.n == N
     assert peak < 2.0
+
+
+def test_estimate_orders_peak_on_continuous_pairs():
+    # more than 256 distinct pairs: the index-path bootstrap weighs one table of the
+    # six sided columns at a scalar unit weight; the three level columns back in the
+    # table would take the peak to 8.7
+    sample = sample_example4(0.3, N, SeededStream(2))
+    report, peak = _peak(lambda: estimate_orders(sample, bootstrap=20))
+    assert report.n == N
+    assert peak < 8.0
