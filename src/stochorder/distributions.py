@@ -78,9 +78,8 @@ def _freeze(obj, names: Iterable[str], arrays: Iterable[np.ndarray]) -> None:
         object.__setattr__(obj, name, array)
 
 
-def _grouped(keys: list[np.ndarray], p: np.ndarray | None = None) -> list[np.ndarray]:
-    """Merge equal keys: the key columns of each group, then its fsum'd mass,
-    or its row count when ``p`` is None (the fsum of unit masses, bit for bit).
+def _grouped(keys: list[np.ndarray], p: np.ndarray) -> list[np.ndarray]:
+    """Merge equal keys: the key columns of each group, then its fsum'd mass.
 
     Groups come out sorted by the keys, the first key primary.  Keys are
     compared with ``==``, so -0.0 joins 0.0; the stable sort keeps each
@@ -88,7 +87,7 @@ def _grouped(keys: list[np.ndarray], p: np.ndarray | None = None) -> list[np.nda
     time, and only groups that hold duplicates are summed.
     """
     order = np.lexsort(keys[::-1])
-    p = p if p is None else p[order]  # masses first: gathered after the keys, peak RSS rose 98 -> 116 MB
+    p = p[order]  # masses first: gathered after the keys, peak RSS rose 98 -> 116 MB
     new = np.r_[True, np.zeros(order.size - 1, dtype=bool)]  # where each group starts
     for k in keys:  # one gathered key column alive at a time
         k = k[order]
@@ -96,14 +95,11 @@ def _grouped(keys: list[np.ndarray], p: np.ndarray | None = None) -> list[np.nda
     starts = np.flatnonzero(new)
     ends = np.r_[starts[1:], order.size]
     firsts = order[starts]  # the row where each group is first seen
-    if p is None:
-        mass = (ends - starts).astype(float)
-    else:
-        mass = p[starts]
-        shared = np.flatnonzero(ends - starts > 1)
-        masses = memoryview(p)
-        bounds = zip(starts[shared].tolist(), ends[shared].tolist())
-        mass[shared] = [math.fsum(masses[a:b]) for a, b in bounds]
+    mass = p[starts]
+    shared = np.flatnonzero(ends - starts > 1)
+    masses = memoryview(p)
+    bounds = zip(starts[shared].tolist(), ends[shared].tolist())
+    mass[shared] = [math.fsum(masses[a:b]) for a, b in bounds]
     return [k[firsts] for k in keys] + [mass]
 
 

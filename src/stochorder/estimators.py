@@ -1,12 +1,13 @@
 """Sampling and plug-in statistical estimation of the precedence orders.
 
-The plug-in estimate is the exact engine run on the empirical joint: the
-distinct pairs of the sample, each weighted by its frequency, go through
-:func:`~stochorder.precedence.compare_all` unchanged.  Confidence intervals
-come from a seeded percentile bootstrap: the per-atom table of
-:mod:`~stochorder.precedence`, its six sided columns at a scalar unit weight,
-is one matrix that resampled counts weigh.  All randomness flows through
-:class:`SeededStream`; there is no hidden entropy anywhere in this module.
+The plug-in estimate reads the count-weighted table of the empirical law of
+D = Y - X: the distinct differences of the sample, each weighted by its
+count (or, when there are many, each pair at count 1), go through the
+per-difference table of :mod:`~stochorder.precedence`, and each point is a
+row's fsum over n.  Confidence intervals come from a seeded percentile
+bootstrap that weighs the same table, at a scalar unit weight, by resampled
+counts.  All randomness flows through :class:`SeededStream`; there is no
+hidden entropy anywhere in this module.
 """
 
 from __future__ import annotations
@@ -18,25 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FiniteJointDistribution, PairedSample, _grouped
+from .distributions import FiniteJointDistribution, PairedSample, _fsum
 from .errors import InvalidEpsilon, SampleTooSmall, ValidationError
-from .precedence import _report, _table, _terms
+from .precedence import SIDED, _report, _table
 from .verdicts import ComparisonReport
 
-#: Names of the estimated quantities, in column order: six joint-law terms,
-#: then E(Y) - E(X).
-QUANTITIES = (
-    "p_less",
-    "p_greater",
-    "l1_below",
-    "l1_above",
-    "kstar_below",
-    "kstar_above",
-    "mean_diff",
-)
+#: Names of the estimated quantities, in row order: the sided terms, then E(Y) - E(X).
+QUANTITIES = (*SIDED, "mean_diff")
 
-#: Distinct-row count up to which the bootstrap uses multinomial weights
-#: over distinct pairs instead of per-resample index draws.
+#: Distinct-difference count up to which the bootstrap uses multinomial
+#: weights over distinct differences instead of per-resample index draws.
 _MULTINOMIAL_CUTOFF = 256
 MAX_SAMPLE_SIZE = 10**8  #: largest sample size a sampler draws, checked before allocating
 MAX_BOOTSTRAP = 10**5  #: largest bootstrap resample count
@@ -104,30 +96,32 @@ def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> Pa
     return PairedSample._from_columns(j.x[idx], j.y[idx])
 
 
-def _replicates(
-    sample: PairedSample,
-    pairs: list[np.ndarray],
-    counts: np.ndarray,
-    rng: np.random.Generator,
-    n_boot: int,
-) -> np.ndarray:
-    """Bootstrap replicates of the six sided terms: one row each, in QUANTITIES order.
+def _estimates(d: np.ndarray, rng: np.random.Generator, n_boot: int) -> tuple[list[float], np.ndarray]:
+    """The sided points, the fsums of the count-weighted table of the empirical
+    law of D, and their bootstrap replicates: one row each, in SIDED order, over n.
 
-    Each replicate weighs the per-pair transforms, the table at ``w = 1``
-    stacked as one matrix, by resampled counts.  These depend only on the
-    resample's empirical measure, so with few distinct ``pairs``
-    multinomial counts over them replace index resampling of the sample.
+    Each replicate weighs the table at ``w = 1`` by resampled counts.  These
+    depend only on the resample's empirical law of D, so with few distinct
+    differences multinomial counts over them replace index resampling of the
+    rows.  With many, each row is a category of count 1, so one table serves
+    the points and the resamples.
     """
-    n = sample.n
-    multinomial = counts.size <= _MULTINOMIAL_CUTOFF
-    columns = _table(*(pairs if multinomial else (sample.x, sample.y)), 1.0)
-    table = np.stack([columns.pop(name) for name in QUANTITIES[:-1]])  # popped: freed once stacked
-    if multinomial:
+    n = d.size
+    values, counts = np.unique(d, return_counts=True)
+    if values.size <= _MULTINOMIAL_CUTOFF:
         weights = rng.multinomial(n, counts / n, size=n_boot).astype(float)
-        return (table @ weights.T) / n
-    # one resample at a time: an (n_boot, n) count matrix would hold 8 * n_boot * n bytes
-    weights = (np.bincount(rng.integers(0, n, n), minlength=n).astype(float) for _ in range(n_boot))
-    return np.column_stack([table @ w for w in weights]) / n
+        table, replicates = _table(values, counts), _table(values, 1.0) @ weights.T
+    else:
+        del values, counts  # as large as d: freed before the (6, n) table is built
+        table = _table(d, 1.0)
+        # one resample at a time (an (n_boot, n) count matrix would hold 8 * n_boot * n bytes); idx
+        # and w live until the next resample's are drawn, so their pages are reused, not faulted in anew
+        replicates = np.empty((len(SIDED), n_boot))
+        for b in range(n_boot):
+            idx = rng.integers(0, n, n)
+            w = np.bincount(idx, minlength=n).astype(float)
+            replicates[:, b] = table @ w
+    return [_fsum(row) / n for row in table], replicates / n
 
 
 @dataclass(frozen=True)
@@ -161,15 +155,17 @@ def estimate_orders(
 ) -> EstimateReport:
     """Estimate all joint-law order quantities from paired observations.
 
-    Point estimates and verdicts are those of ``compare_all`` on the
-    empirical joint (distinct pairs weighted by their frequencies);
-    intervals are seeded percentile-bootstrap over resampled pairs.
-    ``mean_diff`` estimates E(Y) - E(X).
+    The points are the count-weighted table of the empirical law of
+    D = Y - X over n, so each P point is exactly count / n, and the
+    verdicts apply ``compare_all``'s rules to them.  Intervals are seeded
+    percentile-bootstrap over resampled pairs.  ``mean_diff`` estimates
+    E(Y) - E(X) as ``l1_below - l1_above``.
 
     Raises:
         SampleTooSmall: if fewer than 2 pairs are available.
-        ValidationError: if ``level`` is not a real number in (0, 1), or if
-            y - x overflows for some pair (the message names the first).
+        ValidationError: if ``level`` is not a real number in (0, 1), if
+            y - x overflows for some pair (the message names the first), or
+            if n times the largest |y - x| does.
     """
     if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
@@ -179,17 +175,22 @@ def estimate_orders(
         raise SampleTooSmall("confidence intervals require at least 2 pairs")
     stream = stream if stream is not None else SeededStream(0)
 
+    n = sample.n
     with np.errstate(over="ignore"):
-        overflow = np.isinf(sample.y - sample.x)
+        d = sample.y - sample.x
+    overflow = np.isinf(d)
     if overflow.any():  # the bootstrap would weigh an infinite term by 0
         i = int(np.argmax(overflow))
         x, y = float(sample.x[i]), float(sample.y[i])
         raise ValidationError(f"pair {i}: y - x overflows at ({x!r}, {y!r})")
+    largest = float(np.abs(d).max())
+    if math.isinf(n * largest):  # a point's or a resample's count-weighted sum could overflow
+        raise ValidationError(f"{n} times the largest |y - x|, {largest!r}, overflows")
 
-    *pairs, counts = _grouped([sample.x, sample.y])
-    terms = _terms(FiniteJointDistribution._from_columns(*pairs, counts / sample.n))
-    sided = [terms[name] for name in QUANTITIES[:-1]]
-    stats = np.column_stack([sided, _replicates(sample, pairs, counts, stream.rng(), bootstrap)])
+    sided, replicates = _estimates(d, stream.rng(), bootstrap)
+    terms = dict(zip(SIDED, sided), p_equal=int(np.count_nonzero(d == 0.0)) / n)
+    terms["mean_x"], terms["mean_y"] = _fsum(sample.x / n), _fsum(sample.y / n)  # fsum(x) can overflow
+    stats = np.column_stack([sided, replicates])
     # E(Y) - E(X) as l1_below - l1_above: the difference of the two means
     # cancels catastrophically when the pairs sit far from 0
     stats = np.vstack([stats, stats[QUANTITIES.index("l1_below")] - stats[QUANTITIES.index("l1_above")]])

@@ -17,12 +17,14 @@ Four orders are provided:
   convergence in probability and takes values in [0, 1)), damping the
   influence of large differences.
 
-Atoms with x == y contribute to neither side of a decomposition.  The six
-sided terms, P, L1 and K* on {X < Y} and on {X > Y}, are the ``math.fsum``
-of the columns of a per-atom table; P(X = Y), E(X) and E(Y) are fsums
-beside it.  :func:`compare_all` builds the report from these sums, and
-every other function here reads it.  A difference that overflows to
-infinity contributes its limit p to K*, and an infinite L1 term, which
+Every term but E(X) and E(Y) reads only the law of D = Y - X.  The six
+sided terms, P, L1 and K* on {d > 0} and on {d < 0}, are the ``math.fsum``
+of the rows of a per-difference table; P(D = 0), E(X) and E(Y) are fsums
+beside it.  The exact path weighs the table by atom mass, and the plug-in
+estimate of :mod:`~stochorder.estimators` reads the count-weighted table of
+the empirical law of D.  :func:`compare_all` builds the report from these
+sums, and every other function here reads it.  A difference that overflows
+to infinity contributes its limit p to K*, and an infinite L1 term, which
 leaves the cp-L1 verdict inconclusive.
 
 Every verdict is one rule, :func:`_trichotomy`, on two decision statistics,
@@ -68,37 +70,26 @@ def _trichotomy(first: float, second: float, evidence: dict[str, float]) -> Verd
     return Verdict(Outcome.EQUAL, evidence)
 
 
-def _table(x: np.ndarray, y: np.ndarray, w: np.ndarray | float) -> dict[str, np.ndarray]:
-    """Per-atom contributions of weight ``w`` to each sided term.
+#: The sided terms, in the rows of ``_table``: P, L1 and K*, each on {X < Y} then on {X > Y}.
+SIDED = ("p_less", "p_greater", "l1_below", "l1_above", "kstar_below", "kstar_above")
 
-    Each term is the sum of its column.  With ``w`` the atom masses the sums
-    are the exact terms; with the scalar ``w = 1`` the columns hold the
-    per-pair transforms that a bootstrap weighs by resampled counts.
+
+def _table(d: np.ndarray, w: np.ndarray | float) -> np.ndarray:
+    """Per-difference contributions of weight ``w``: row i to the term SIDED[i].
+
+    Each term is the sum of its row.  With ``w`` the atom masses the sums are
+    the exact terms, with counts n times the plug-in estimates, and with the
+    scalar ``w = 1`` the rows hold the transforms a bootstrap weighs.
     """
-    with np.errstate(over="ignore"):  # an overflow to +-inf keeps the sign of the difference
-        d = y - x
+    table = np.zeros((len(SIDED), d.size))
     dist = np.abs(d)
-    below, above = d > 0.0, d < 0.0
-    l1 = dist * w
-    with np.errstate(invalid="ignore"):  # inf / inf: an infinite distance counts as its limit 1
-        kstar = np.where(np.isinf(dist), w, l1 / (1.0 + dist))
-    return {
-        "p_less": np.where(below, w, 0.0),
-        "p_greater": np.where(above, w, 0.0),
-        "l1_below": np.where(below, l1, 0.0),
-        "l1_above": np.where(above, l1, 0.0),
-        "kstar_below": np.where(below, kstar, 0.0),
-        "kstar_above": np.where(above, kstar, 0.0),
-    }
-
-
-def _terms(j: FiniteJointDistribution) -> dict[str, float]:
-    """The exact terms of a joint: the fsums of its mass-weighted table, P(X = Y), E(X) and E(Y)."""
-    terms = {name: _fsum(column) for name, column in _table(j.x, j.y, j.p).items()}
-    terms["p_equal"] = _fsum(np.where(j.x == j.y, j.p, 0.0))  # finite x, y: x == y iff y - x == 0
-    terms["mean_x"] = _fsum(j.x * j.p)
-    terms["mean_y"] = _fsum(j.y * j.p)
-    return terms
+    for side, (p, l1, kstar) in zip((d > 0.0, d < 0.0), (table[0::2], table[1::2])):
+        np.copyto(p, w, where=side)
+        np.multiply(dist, w, out=l1, where=side)
+        with np.errstate(invalid="ignore"):  # inf / inf: an infinite distance counts as its limit 1
+            np.divide(l1, 1.0 + dist, out=kstar, where=side)
+        np.copyto(kstar, w, where=side & np.isinf(dist))
+    return table
 
 
 def event_probs(j: FiniteJointDistribution) -> EventProbs:
@@ -162,4 +153,8 @@ def _report(terms: dict[str, float]) -> ComparisonReport:
 
 def compare_all(j: FiniteJointDistribution) -> ComparisonReport:
     """All four joint-law verdicts plus the decompositions behind them."""
-    return _report(_terms(j))
+    with np.errstate(over="ignore"):  # an overflow to +-inf keeps the sign of the difference
+        d = j.y - j.x
+    terms = dict(zip(SIDED, map(_fsum, _table(d, j.p))))
+    terms["p_equal"] = _fsum(np.where(d == 0.0, j.p, 0.0))  # finite x, y: y - x == 0 iff x == y
+    return _report({**terms, "mean_x": _fsum(j.x * j.p), "mean_y": _fsum(j.y * j.p)})

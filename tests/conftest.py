@@ -17,6 +17,7 @@ from stochorder import (
     product_joint,
 )
 from stochorder.distributions import INPUT_MASS_TOL, MASS_TOL
+from stochorder.estimators import band_triangle_densities
 
 
 def random_marginal(rng: np.random.Generator, max_support: int = 6) -> FiniteMarginal:
@@ -105,6 +106,31 @@ def oracle_terms(atoms):
         "mean_x": math.fsum(x * p for x, _, p in atoms),
         "mean_y": math.fsum(y * p for _, y, p in atoms),
     }
+
+
+def oracle_example4_terms(eps: float) -> dict[str, float]:
+    """The exact sided terms and E(Y) - E(X) of the band-and-triangle law.
+
+    D = Y - X has density a (1 - t) at -t for t in [0, eps] (the band) and
+    b (1 - u) at u in (1 - eps, 1) (the triangle), with a and b the two
+    regions' densities; F is an antiderivative of t (1 - t) / (1 + t).
+    """
+    a, b = band_triangle_densities(eps)
+    c = 1.0 - eps
+
+    def F(t):
+        return 2.0 * t - t * t / 2.0 - 2.0 * math.log1p(t)
+
+    terms = {
+        "p_less": b * eps * eps / 2.0,
+        "p_greater": a * (eps - eps * eps / 2.0),
+        "l1_below": b * (1.0 / 6.0 - (c * c / 2.0 - c**3 / 3.0)),
+        "l1_above": a * (eps * eps / 2.0 - eps**3 / 3.0),
+        "kstar_below": b * (F(1.0) - F(c)),
+        "kstar_above": a * F(eps),
+    }
+    terms["mean_diff"] = terms["l1_below"] - terms["l1_above"]
+    return terms
 
 
 def gaussian_mixture_density(rng: np.random.Generator, grid: np.ndarray) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     InvalidEpsilon,
@@ -24,6 +27,8 @@ from stochorder import (
 from stochorder import estimators
 from stochorder.estimators import band_triangle_densities
 from stochorder.scenarios import example4_spec
+
+from conftest import oracle_example4_terms
 
 EX1 = make_joint([(1000.0, 999.0, 0.6), (0.0, 999.0, 0.4)])
 
@@ -110,28 +115,62 @@ class TestSizeCaps:
 
 class TestEstimateOrders:
     def test_points_match_plugin_joint(self, rng):
-        # oracle: the empirical law is itself a finite joint, built here by
-        # counting pairs; the estimate is the exact engine on it, so every
-        # point and verdict must agree bit for bit
+        # oracle: per-pair sums over the sample.  The P points are count / n
+        # exactly; with few distinct differences the L1 and K* points group
+        # the summands by difference, so they agree to 1e-12; the verdicts
+        # are the exact engine's on the empirical joint
         x = rng.normal(size=500)
         continuous = PairedSample(x, x + rng.normal(scale=0.5, size=500))
         grid = make_joint([(float(a), float(b), 1.0 / 9.0) for a in range(3) for b in range(3)])
         duplicated = sample_joint(grid, 3000, SeededStream(6))
         for sample in (continuous, duplicated):
-            counts = Counter(sample.pairs())
-            plugin = compare_all(make_joint([(a, b, c / sample.n) for (a, b), c in counts.items()]))
+            n, d = sample.n, sample.y - sample.x
+            below, above = d > 0.0, d < 0.0
             report = estimate_orders(sample, bootstrap=50, stream=SeededStream(3))
-            assert report.comparison == plugin
             points = {name: est.point for name, est in report.quantities.items()}
-            assert points == {
-                "p_less": plugin.probs.p_less,
-                "p_greater": plugin.probs.p_greater,
-                "l1_below": plugin.l1.below_term,
-                "l1_above": plugin.l1.above_term,
-                "kstar_below": plugin.kstar.below_term,
-                "kstar_above": plugin.kstar.above_term,
-                "mean_diff": plugin.l1.below_term - plugin.l1.above_term,
+            assert points["p_less"] == np.count_nonzero(below) / n
+            assert points["p_greater"] == np.count_nonzero(above) / n
+            assert report.comparison.probs.p_equal == np.count_nonzero(d == 0.0) / n
+            per_pair = {
+                "l1_below": d[below],
+                "l1_above": -d[above],
+                "kstar_below": d[below] / (1.0 + d[below]),
+                "kstar_above": -d[above] / (1.0 - d[above]),
             }
+            for name, column in per_pair.items():
+                assert points[name] == pytest.approx(math.fsum(column) / n, rel=1e-12, abs=0.0)
+            assert points["mean_diff"] == points["l1_below"] - points["l1_above"]
+            counts = Counter(sample.pairs())
+            plugin = compare_all(make_joint([(a, b, c / n) for (a, b), c in counts.items()]))
+            for key in ("sp", "mean", "cp_l1", "cp_kstar"):
+                assert getattr(report.comparison, key).outcome is getattr(plugin, key).outcome
+
+    def test_sp_at_an_exact_tie_is_equal(self):
+        # 5 pairs with x < y, 2 with x == y and 7 with x > y: P(X <= Y) is
+        # exactly 1/2, which an fsum of per-pair-group frequencies missed by an ulp
+        x = [0, 0, 2, 0, 3, 5, 2, 2, 5, 5, 3, 2, 5, 0]
+        y = [5, 3, 3, 5, 2, 0, 1, 0, 4, 0, 3, 5, 3, 0]
+        sp = estimate_orders(PairedSample(x, y), bootstrap=20).comparison.sp
+        assert sp.outcome is Outcome.EQUAL and sp.evidence["p_x_leq_y"] == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=60))
+    def test_p_points_are_counts_over_n_and_decide_sp(self, pairs):
+        x, y = np.array(pairs, dtype=float).T
+        n = len(pairs)
+        less, equal = int(np.sum(x < y)), int(np.sum(x == y))
+        greater = n - less - equal
+        report = estimate_orders(PairedSample(x, y), bootstrap=1)
+        assert report.quantities["p_less"].point == less / n
+        assert report.quantities["p_greater"].point == greater / n
+        assert report.comparison.probs.p_equal == equal / n
+        first, second = 2 * (less + equal) >= n, 2 * (greater + equal) >= n
+        outcome = {
+            (True, True): Outcome.EQUAL,
+            (True, False): Outcome.FIRST_PRECEDES,
+            (False, True): Outcome.SECOND_PRECEDES,
+        }
+        assert report.comparison.sp.outcome is outcome[first, second]
 
     def test_mean_diff_keeps_precision_far_from_zero(self, rng):
         x = 1e6 + 1e3 * rng.normal(size=3000)
@@ -144,6 +183,19 @@ class TestEstimateOrders:
         sample = PairedSample(np.array([0.0, 1e308]), np.array([1.0, -1e308]))
         with pytest.raises(ValidationError, match=r"pair 1: y - x overflows at \(1e\+308, -1e\+308\)"):
             estimate_orders(sample)
+
+    @pytest.mark.parametrize("y", [[1e308, 1.5e308], [1e308, 7e307]])
+    def test_n_times_the_largest_distance_overflows(self, y):
+        # each y - x is finite, but the points' sum, or a resample's, is not
+        sample = PairedSample(np.array([0.0, 0.0]), np.array(y))
+        message = re.escape(f"2 times the largest |y - x|, {max(y)!r}, overflows")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            estimate_orders(sample)
+
+    def test_coordinates_near_the_float_range_keep_finite_means(self):
+        sample = PairedSample(np.array([1e308, 1.5e308]), np.array([1e308, 1.5e308]))
+        evidence = estimate_orders(sample, bootstrap=20).comparison.mean.evidence
+        assert evidence == {"mean_x": 1.25e308, "mean_y": 1.25e308}
 
     def test_huge_finite_distance_counts_one_in_kstar(self):
         # d / (1 + d) rounds to exactly 1 once d exceeds 2**53
@@ -187,22 +239,45 @@ class TestEstimateOrders:
         assert report.to_dict() == estimate_orders(sample, bootstrap=20).to_dict()
 
     def test_bootstrap_weighs_one_table_at_unit_weight(self, monkeypatch):
-        # one table per bootstrap, over the rows its path resamples, at the
-        # scalar weight 1: no unit-weight column is allocated
+        # the index path builds one table, at the scalar weight 1, for the points
+        # and the resamples; the multinomial path weighs the distinct differences,
+        # by their counts for the points and at weight 1 for the resamples
         calls = []
 
-        def spy(x, y, w):
-            calls.append((x.size, repr(w)))
-            return table(x, y, w)
+        def spy(d, w):
+            calls.append((d.size, w if np.isscalar(w) else "counts"))
+            return table(d, w)
 
         table = estimators._table
         monkeypatch.setattr(estimators, "_table", spy)
         grid = make_joint([(float(a), float(b), 1.0 / 9.0) for a in range(3) for b in range(3)])
         continuous = sample_example4(0.3, 600, SeededStream(1))
-        for sample, rows in ((sample_joint(grid, 600, SeededStream(1)), 9), (continuous, 600)):
+        for sample, want in (
+            (sample_joint(grid, 600, SeededStream(1)), [(5, "counts"), (5, 1.0)]),
+            (continuous, [(600, 1.0)]),
+        ):
             calls.clear()
             estimate_orders(sample, bootstrap=5)
-            assert calls == [(rows, "1.0")]
+            assert calls == want
+
+    def test_multinomial_path_weighs_distinct_differences(self, monkeypatch):
+        # integer data: about 11,000 distinct pairs, but 11 distinct differences
+        calls = []
+
+        def spy(d, w):
+            calls.append(d.size)
+            return table(d, w)
+
+        table = estimators._table
+        monkeypatch.setattr(estimators, "_table", spy)
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 1000, 100_000).astype(float)
+        sample = PairedSample(x, x + rng.integers(-5, 6, x.size))
+        assert len(set(sample.pairs())) > estimators._MULTINOMIAL_CUTOFF
+        report = estimate_orders(sample, bootstrap=1000)
+        assert calls == [11, 11]
+        est = report.quantities["mean_diff"]
+        assert est.ci_low < est.point < est.ci_high
 
     @pytest.mark.parametrize("level", ["0.5", None])
     def test_level_that_is_not_a_number(self, level):
@@ -255,8 +330,9 @@ class TestEstimateOrders:
         }
         assert doc["n"] == 1000 and doc["method"] == "bootstrap-percentile"
 
-    # the distinct pairs of a sample are ordered by (x, y), so a swap changes
-    # which pair each multinomial draw lands on: there only the points mirror
+    # the distinct differences of a sample are sorted, so a swap, which
+    # negates them, changes which one each multinomial draw lands on: there
+    # only the points mirror
     @pytest.mark.parametrize("path", ["index", "multinomial"])
     def test_swapping_the_sample_mirrors_the_report(self, path):
         if path == "index":
@@ -352,3 +428,48 @@ class TestSampleExample4:
         in_band = (d >= 0.0) & (d <= eps)
         in_triangle = (s.y - s.x) > (1.0 - eps)
         assert np.all(in_band | in_triangle)
+
+
+class TestExample4Oracle:
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.9])
+    def test_oracle_matches_quadrature(self, eps):
+        # 200-node Gauss-Legendre rule on the density of D: a (1 - t) at -t
+        # for t in [0, eps], b (1 - u) at u in (1 - eps, 1)
+        a, b = band_triangle_densities(eps)
+        t, w = np.polynomial.legendre.leggauss(200)
+        t, w = eps / 2.0 * (t + 1.0), eps / 2.0 * w
+        u = 1.0 - eps + t
+        band, triangle = a * (1.0 - t) * w, b * (1.0 - u) * w
+        want = {
+            "p_less": triangle.sum(),
+            "p_greater": band.sum(),
+            "l1_below": (triangle * u).sum(),
+            "l1_above": (band * t).sum(),
+            "kstar_below": (triangle * u / (1.0 + u)).sum(),
+            "kstar_above": (band * t / (1.0 + t)).sum(),
+        }
+        oracle = oracle_example4_terms(eps)
+        assert {name: oracle[name] for name in want} == pytest.approx(want, rel=1e-12)
+        masses = example4_spec(eps).oracle_region_masses()
+        assert (oracle["p_greater"], oracle["p_less"]) == pytest.approx(masses, rel=1e-12)
+
+    def test_oracle_values_at_eps_0_3(self):
+        oracle = {name: round(value, 5) for name, value in oracle_example4_terms(0.3).items()}
+        assert oracle == {
+            "p_less": 0.3,
+            "p_greater": 0.7,
+            "l1_below": 0.24,
+            "l1_above": 0.09882,
+            "kstar_below": 0.13308,
+            "kstar_above": 0.0831,
+            "mean_diff": 0.14118,
+        }
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.9])
+    def test_estimate_matches_oracle(self, eps):
+        # within one 95% interval width of the oracle: about 4 standard errors
+        sample = sample_example4(eps, 100_000, SeededStream(41))
+        report = estimate_orders(sample, bootstrap=200, stream=SeededStream(42))
+        for name, want in oracle_example4_terms(eps).items():
+            est = report.quantities[name]
+            assert abs(est.point - want) <= est.ci_high - est.ci_low, name

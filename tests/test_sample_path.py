@@ -77,7 +77,7 @@ def test_read_sample_csv_peak(csv_path, drawn):
 
 
 def test_estimate_orders_peak_on_discrete_pairs(csv_path):
-    # grouping gathers one key column at a time, and counts rows without a unit-mass column
+    # the differences are grouped once, and counted without a unit-mass column
     sample = read_sample_csv(csv_path)
     report, peak = _peak(lambda: estimate_orders(sample, bootstrap=20))
     assert report.n == N
@@ -85,10 +85,10 @@ def test_estimate_orders_peak_on_discrete_pairs(csv_path):
 
 
 def test_estimate_orders_peak_on_continuous_pairs():
-    # more than 256 distinct pairs: the index-path bootstrap weighs one table of the
-    # six sided columns at a scalar unit weight; the three level columns back in the
-    # table would take the peak to 8.7
+    # more than 256 distinct differences: one (6, n) table of the differences at a
+    # scalar unit weight, filled row by row, serves the points and the index-path
+    # resamples; stacking six finished columns into it would take the peak to 7.6
     sample = sample_example4(0.3, N, SeededStream(2))
     report, peak = _peak(lambda: estimate_orders(sample, bootstrap=20))
     assert report.n == N
-    assert peak < 8.0
+    assert peak < 6.5
