@@ -177,12 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "compare": _cmd_compare,
-    "estimate": _cmd_estimate,
-    "sample": _cmd_sample,
-    "reproduce": _cmd_reproduce,
-}
+_COMMANDS = dict(compare=_cmd_compare, estimate=_cmd_estimate, sample=_cmd_sample, reproduce=_cmd_reproduce)
 
 
 def main(argv=None) -> int:

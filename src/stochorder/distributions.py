@@ -68,7 +68,10 @@ def _floats(value, message: str) -> np.ndarray:
 
 
 def _fsum(column: np.ndarray) -> float:
-    return math.fsum(memoryview(column))  # reads the buffer; builds no list of floats
+    try:
+        return math.fsum(memoryview(column))  # reads the buffer; builds no list of floats
+    except OverflowError:  # a sum past the float range: its halves' sum, doubled, rounds to +-inf
+        return 2.0 * math.fsum(memoryview(column / 2.0))
 
 
 def _freeze(obj, names: Iterable[str], arrays: Iterable[np.ndarray]) -> None:
@@ -267,9 +270,7 @@ def _merged(raw, row_format: tuple, normalize: bool) -> list[np.ndarray]:
     *keys, mass = _grouped(list(rows[:, :-1].T), rows[:, -1])
     total = _fsum(mass)
     if abs(total - 1.0) > INPUT_MASS_TOL and not normalize:
-        raise NotNormalizable(
-            f"masses sum to {total!r}; pass normalize=True to rescale"
-        )
+        raise NotNormalizable(f"masses sum to {total!r}; pass normalize=True to rescale")
     if abs(total - 1.0) > MASS_TOL:
         mass = mass / total
         if not mass.all():
@@ -298,10 +299,7 @@ def make_joint(
     return FiniteJointDistribution._from_columns(*_merged(raw_atoms, _ATOM, normalize))
 
 
-def make_marginal(
-    raw_points: Iterable[tuple[float, float]],
-    normalize: bool = False,
-) -> FiniteMarginal:
+def make_marginal(raw_points: Iterable[tuple[float, float]], normalize: bool = False) -> FiniteMarginal:
     """Build a marginal from raw (value, mass) pairs; same rules as make_joint."""
     return FiniteMarginal._from_columns(*_merged(raw_points, _POINT, normalize))
 
@@ -324,9 +322,7 @@ def product_joint(
     """Independent coupling of two marginals: atoms (x, y, px * py), through
     ``make_joint``, which drops masses that underflow and rescales the total."""
     if len(mx) * len(my) > max_atoms:
-        raise SupportTooLarge(
-            f"product support {len(mx)} x {len(my)} exceeds cap {max_atoms}"
-        )
+        raise SupportTooLarge(f"product support {len(mx)} x {len(my)} exceeds cap {max_atoms}")
     x, px = np.repeat(mx.v, len(my)), np.repeat(mx.p, len(my))
     y, py = np.tile(my.v, len(mx)), np.tile(my.p, len(mx))
     return make_joint(np.column_stack((x, y, px * py)))
@@ -494,9 +490,7 @@ class GridDensityPair:
                 raise ValidationError(f"{name} contains negative density values")
             integral = _integral(name, f, grid)
             if abs(integral - 1.0) > DENSITY_NORM_TOL:
-                raise ValidationError(
-                    f"{name} integrates to {integral!r} under the trapezoid rule, not 1"
-                )
+                raise ValidationError(f"{name} integrates to {integral!r} under the trapezoid rule, not 1")
         _freeze(self, ("grid", "fx", "fy"), (grid, fx, fy))
 
     @classmethod

@@ -4,10 +4,14 @@ The plug-in estimate reads the count-weighted table of the empirical law of
 D = Y - X: the distinct differences of the sample, each weighted by its
 count (or, when there are many, each pair at count 1), go through the
 per-difference table of :mod:`~stochorder.precedence`, and each point is a
-row's fsum over n.  Confidence intervals come from a seeded percentile
-bootstrap that weighs the same table, at a scalar unit weight, by resampled
-counts.  All randomness flows through :class:`SeededStream`; there is no
-hidden entropy anywhere in this module.
+row's fsum over n.  Intervals are seeded percentile intervals (Efron &
+Tibshirani 1993) of replicates that weigh a table at unit weight by
+multinomial counts: a bootstrap over at most 256 distinct differences
+(``method`` "bootstrap-percentile"), and above that a bag of little
+bootstraps (Kleiner, Talwalkar, Sarkar & Jordan, JRSS-B 76(4), 2014;
+"blb-percentile").  ``bootstrap`` counts the resamples in all.  All
+randomness flows through :class:`SeededStream`; there is no hidden entropy
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from .verdicts import ComparisonReport
 #: Names of the estimated quantities, in row order: the sided terms, then E(Y) - E(X).
 QUANTITIES = (*SIDED, "mean_diff")
 
-#: Distinct-difference count up to which the bootstrap uses multinomial
-#: weights over distinct differences instead of per-resample index draws.
+#: Distinct-difference count up to which the bootstrap weighs the distinct
+#: differences; above it, a bag of little bootstraps weighs subsets of the rows.
 _MULTINOMIAL_CUTOFF = 256
+#: The bag's subset count s and size exponent: each subset holds ceil(n ** gamma) rows.
+_BLB_SUBSETS, _BLB_GAMMA = 10, 0.7
 MAX_SAMPLE_SIZE = 10**8  #: largest sample size a sampler draws, checked before allocating
 MAX_BOOTSTRAP = 10**5  #: largest bootstrap resample count
 
@@ -96,32 +102,52 @@ def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> Pa
     return PairedSample._from_columns(j.x[idx], j.y[idx])
 
 
-def _estimates(d: np.ndarray, rng: np.random.Generator, n_boot: int) -> tuple[list[float], np.ndarray]:
-    """The sided points, the fsums of the count-weighted table of the empirical
-    law of D, and their bootstrap replicates: one row each, in SIDED order, over n.
+def _with_mean_diff(stats: np.ndarray) -> np.ndarray:
+    """Rows in SIDED order, then E(Y) - E(X) as ``l1_below - l1_above``, which,
+    unlike the difference of the means, keeps its precision far from 0."""
+    below, above = SIDED.index("l1_below"), SIDED.index("l1_above")
+    return np.concatenate([stats, stats[below : below + 1] - stats[above : above + 1]])
 
-    Each replicate weighs the table at ``w = 1`` by resampled counts.  These
-    depend only on the resample's empirical law of D, so with few distinct
-    differences multinomial counts over them replace index resampling of the
-    rows.  With many, each row is a category of count 1, so one table serves
-    the points and the resamples.
+
+def _estimates(d: np.ndarray, rng: np.random.Generator, n_boot: int, level: float):
+    """The points of QUANTITIES, their interval ends, and the name of the scheme.
+
+    The sided points are the fsums of the count-weighted table of the
+    empirical law of D, over n.  A replicate depends only on the resample's
+    empirical law of D, so up to the cutoff it weighs the distinct
+    differences by ``multinomial(n, counts / n)``, n_boot times.  Above it,
+    the bag of little bootstraps draws _BLB_SUBSETS subsets of
+    b = ceil(n ** _BLB_GAMMA) rows without replacement, and weighs each by
+    ceil(n_boot / _BLB_SUBSETS) draws of ``multinomial(n, 1/b)``.  Each
+    subset's replicates centre on the subset's own point, so the interval
+    adds the mean over the subsets of the percentiles of (replicate - subset
+    point) to the full-sample point; averaging raw endpoints under-covers.
     """
     n = d.size
+    alpha = 100.0 * (1.0 - level) / 2.0
+    percents = [alpha, 100.0 - alpha]
     values, counts = np.unique(d, return_counts=True)
-    if values.size <= _MULTINOMIAL_CUTOFF:
+    few = values.size <= _MULTINOMIAL_CUTOFF
+    if not few:  # each row a category of count 1; np.unique's arrays, as large as d, are freed
+        values, counts = d, 1.0
+    points = _with_mean_diff(np.array([_fsum(row) / n for row in _table(values, counts)]))
+    if few:
         weights = rng.multinomial(n, counts / n, size=n_boot).astype(float)
-        table, replicates = _table(values, counts), _table(values, 1.0) @ weights.T
+        lo, hi = np.percentile(_with_mean_diff(_table(values, 1.0) @ weights.T / n), percents, axis=1)
+        method = "bootstrap-percentile"
     else:
-        del values, counts  # as large as d: freed before the (6, n) table is built
-        table = _table(d, 1.0)
-        # one resample at a time (an (n_boot, n) count matrix would hold 8 * n_boot * n bytes); idx
-        # and w live until the next resample's are drawn, so their pages are reused, not faulted in anew
-        replicates = np.empty((len(SIDED), n_boot))
-        for b in range(n_boot):
-            idx = rng.integers(0, n, n)
-            w = np.bincount(idx, minlength=n).astype(float)
-            replicates[:, b] = table @ w
-    return [_fsum(row) / n for row in table], replicates / n
+        b = math.ceil(n**_BLB_GAMMA)
+        uniform = np.full(b, 1.0 / b)
+        offsets = np.zeros((2, len(QUANTITIES)))
+        for _ in range(_BLB_SUBSETS):
+            table = _table(d[rng.choice(n, b, replace=False)], 1.0)
+            weights = rng.multinomial(n, uniform, size=math.ceil(n_boot / _BLB_SUBSETS)).astype(float)
+            spread = table @ weights.T / n - table.sum(axis=1, keepdims=True) / b
+            offsets += np.percentile(_with_mean_diff(spread), percents, axis=1)
+        lo, hi = points + offsets / _BLB_SUBSETS
+        method = "blb-percentile"
+    # quantile noise must not push the interval off its own point estimate
+    return points, np.minimum(lo, points), np.maximum(hi, points), method
 
 
 @dataclass(frozen=True)
@@ -140,11 +166,12 @@ class EstimateReport:
     seed: int
     quantities: dict[str, EstimateWithCI]
     comparison: ComparisonReport
+    method: str = "bootstrap-percentile"  #: or "blb-percentile", the bag of little bootstraps
 
     def to_dict(self) -> dict:
         ci = {name: est.to_dict() for name, est in self.quantities.items()}
         run = {"n": self.n, "level": self.level, "bootstrap": self.bootstrap, "seed": self.seed}
-        return {**self.comparison.to_dict(), "ci": ci, **run, "method": "bootstrap-percentile"}
+        return {**self.comparison.to_dict(), "ci": ci, **run, "method": self.method}
 
 
 def estimate_orders(
@@ -157,9 +184,10 @@ def estimate_orders(
 
     The points are the count-weighted table of the empirical law of
     D = Y - X over n, so each P point is exactly count / n, and the
-    verdicts apply ``compare_all``'s rules to them.  Intervals are seeded
-    percentile-bootstrap over resampled pairs.  ``mean_diff`` estimates
-    E(Y) - E(X) as ``l1_below - l1_above``.
+    verdicts apply ``compare_all``'s rules to them.  Intervals are the
+    seeded percentile intervals the module docstring describes, over
+    ``bootstrap`` resamples in all.  ``mean_diff`` estimates E(Y) - E(X)
+    as ``l1_below - l1_above``.
 
     Raises:
         SampleTooSmall: if fewer than 2 pairs are available.
@@ -187,32 +215,11 @@ def estimate_orders(
     if math.isinf(n * largest):  # a point's or a resample's count-weighted sum could overflow
         raise ValidationError(f"{n} times the largest |y - x|, {largest!r}, overflows")
 
-    sided, replicates = _estimates(d, stream.rng(), bootstrap)
-    terms = dict(zip(SIDED, sided), p_equal=int(np.count_nonzero(d == 0.0)) / n)
+    points, lo, hi, method = _estimates(d, stream.rng(), bootstrap, float(level))
+    terms = dict(zip(SIDED, points.tolist()), p_equal=int(np.count_nonzero(d == 0.0)) / n)
     terms["mean_x"], terms["mean_y"] = _fsum(sample.x / n), _fsum(sample.y / n)  # fsum(x) can overflow
-    stats = np.column_stack([sided, replicates])
-    # E(Y) - E(X) as l1_below - l1_above: the difference of the two means
-    # cancels catastrophically when the pairs sit far from 0
-    stats = np.vstack([stats, stats[QUANTITIES.index("l1_below")] - stats[QUANTITIES.index("l1_above")]])
-    points, replicates = stats[:, 0], stats[:, 1:]
-    alpha = 100.0 * (1.0 - float(level)) / 2.0
-    lo, hi = np.percentile(replicates, [alpha, 100.0 - alpha], axis=1)
-    # quantile noise must not push the interval off its own point estimate
-    lo = np.minimum(lo, points)
-    hi = np.maximum(hi, points)
-
-    quantities = {
-        name: EstimateWithCI(float(points[i]), float(lo[i]), float(hi[i]))
-        for i, name in enumerate(QUANTITIES)
-    }
-    return EstimateReport(
-        n=sample.n,
-        level=float(level),
-        bootstrap=bootstrap,
-        seed=stream.seed,
-        quantities=quantities,
-        comparison=_report(terms),
-    )
+    quantities = dict(zip(QUANTITIES, map(EstimateWithCI, points.tolist(), lo.tolist(), hi.tolist())))
+    return EstimateReport(n, float(level), bootstrap, stream.seed, quantities, _report(terms), method)
 
 
 # ---------------------------------------------------------------------------

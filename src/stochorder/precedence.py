@@ -143,11 +143,15 @@ def _report(terms: dict[str, float]) -> ComparisonReport:
     p_ylex = probs.p_greater + probs.p_equal
     mean_x, mean_y = terms["mean_x"], terms["mean_y"]
     sp = _trichotomy(p_xley >= 0.5, p_ylex >= 0.5, {"p_x_leq_y": p_xley, "p_y_leq_x": p_ylex})
-    mean = _trichotomy(mean_y, mean_x, {"mean_x": mean_x, "mean_y": mean_y})
     cp_l1, cp_kstar = (
         _trichotomy(below, above, {"below_term": below, "above_term": above})
         for below, above in ((l1.below_term, l1.above_term), (kstar.below_term, kstar.above_term))
     )
+    # E(Y) - E(X) = l1_below - l1_above, so the mean order is cp-L1; the means, which
+    # cancel far from 0, decide only where an L1 term is infinite
+    finite = cp_l1.outcome is not Outcome.INCONCLUSIVE
+    first, second = (l1.below_term, l1.above_term) if finite else (mean_y, mean_x)
+    mean = _trichotomy(first, second, {"mean_x": mean_x, "mean_y": mean_y})
     return ComparisonReport(sp, mean, cp_l1, cp_kstar, l1, kstar, probs)
 
 

@@ -188,12 +188,8 @@ def _clip_halfplane(poly, a: float, b: float, c: float):
 
 
 def _polygon_area(poly) -> float:
-    s = 0.0
-    for i in range(len(poly)):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % len(poly)]
-        s += x0 * y1 - x1 * y0
-    return abs(s) / 2.0
+    edges = zip(poly, poly[1:] + poly[:1])
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)) / 2.0
 
 
 @dataclass(frozen=True)

@@ -239,9 +239,10 @@ class TestEstimateOrders:
         assert report.to_dict() == estimate_orders(sample, bootstrap=20).to_dict()
 
     def test_bootstrap_weighs_one_table_at_unit_weight(self, monkeypatch):
-        # the index path builds one table, at the scalar weight 1, for the points
-        # and the resamples; the multinomial path weighs the distinct differences,
-        # by their counts for the points and at weight 1 for the resamples
+        # the multinomial path weighs the distinct differences, by their counts
+        # for the points and at weight 1 for the resamples; above the cutoff the
+        # points take one table of all the rows at weight 1, and the bag of
+        # little bootstraps one table of each subset's ceil(600 ** 0.7) = 89 rows
         calls = []
 
         def spy(d, w):
@@ -254,7 +255,7 @@ class TestEstimateOrders:
         continuous = sample_example4(0.3, 600, SeededStream(1))
         for sample, want in (
             (sample_joint(grid, 600, SeededStream(1)), [(5, "counts"), (5, 1.0)]),
-            (continuous, [(600, 1.0)]),
+            (continuous, [(600, 1.0)] + [(89, 1.0)] * estimators._BLB_SUBSETS),
         ):
             calls.clear()
             estimate_orders(sample, bootstrap=5)
@@ -299,12 +300,12 @@ class TestEstimateOrders:
         assert a.to_dict() == b.to_dict()
 
     def test_intervals_bracket_points(self, rng):
-        # both bootstrap paths: few distinct pairs (multinomial) and many
-        # distinct pairs (index resampling)
+        # both bootstrap paths: few distinct differences (multinomial) and many
+        # (the bag of little bootstraps), there down to one resample per subset
         discrete = sample_joint(EX1, 2000, SeededStream(2))
         continuous = PairedSample(rng.normal(size=400), rng.normal(size=400))
-        for sample in (discrete, continuous):
-            report = estimate_orders(sample, bootstrap=300, stream=SeededStream(8))
+        for sample, bootstrap in ((discrete, 300), (continuous, 300), (continuous, 5), (continuous, 1)):
+            report = estimate_orders(sample, bootstrap=bootstrap, stream=SeededStream(8))
             for est in report.quantities.values():
                 assert est.ci_low <= est.point <= est.ci_high
 
@@ -332,7 +333,9 @@ class TestEstimateOrders:
 
     # the distinct differences of a sample are sorted, so a swap, which
     # negates them, changes which one each multinomial draw lands on: there
-    # only the points mirror
+    # only the points mirror.  Above the cutoff ("index") the bag of little
+    # bootstraps draws row indices, so a swap only negates each subset's
+    # differences and the intervals mirror bit for bit
     @pytest.mark.parametrize("path", ["index", "multinomial"])
     def test_swapping_the_sample_mirrors_the_report(self, path):
         if path == "index":
@@ -464,6 +467,23 @@ class TestExample4Oracle:
             "kstar_above": 0.0831,
             "mean_diff": 0.14118,
         }
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_bag_of_little_bootstraps_covers_the_oracle(self, n):
+        # both sizes are above the cutoff; every interval must cover the exact
+        # term at 0.95 within three binomial standard errors over the seeds.
+        # 50 resamples per subset: with 20 (bootstrap=200), the 2.5% and 97.5%
+        # percentiles of each subset sit inside the tails and n = 2000 covers ~0.90
+        seeds, truth = 200, oracle_example4_terms(0.3)
+        covered = Counter()
+        for seed in range(seeds):
+            sample = sample_example4(0.3, n, SeededStream(seed))
+            report = estimate_orders(sample, bootstrap=500, stream=SeededStream(10_000 + seed))
+            assert report.method == "blb-percentile"
+            for name, est in report.quantities.items():
+                covered[name] += est.ci_low <= truth[name] <= est.ci_high
+        floor = 0.95 - 3.0 * math.sqrt(0.95 * 0.05 / seeds)
+        assert min(covered[name] for name in truth) >= floor * seeds, covered
 
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.9])
     def test_estimate_matches_oracle(self, eps):

@@ -1,6 +1,7 @@
 """Joint-law orders: exact values, decomposition identities, invariances."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 
 from stochorder import (
     Outcome,
+    PairedSample,
+    apply_transform,
     compare_all,
     compare_cp_kstar,
     compare_cp_l1,
     compare_mean,
     compare_sp,
     compare_st,
+    estimate_orders,
     event_probs,
     expectation,
     kstar_decompose,
@@ -322,6 +326,22 @@ class TestKstarAtNumericEdges:
         assert compare_cp_kstar(j).outcome is Outcome.SECOND_PRECEDES
         assert compare_cp_l1(j).outcome is Outcome.INCONCLUSIVE
 
+    @pytest.mark.parametrize(
+        "atoms, normalize",
+        [
+            ([(0.0, 1e17, 0.5), (1.0, 1e17, 0.5 + 4e-13)], False),  # kept: within 1e-12 of 1
+            ([(0.0, 1e300, 8), (1.0, 1e300, 6), (2.0, 1e300, 3)], True),  # rescaled to 1 + 1 ulp
+        ],
+    )
+    def test_total_over_one_where_the_masses_are(self, atoms, normalize):
+        # every p |d| / (1 + |d|) rounds to about p, so the K* total is the masses'
+        # total, up to the roundings of |d| p and of the division
+        j = make_joint(atoms, normalize=normalize)
+        report = compare_all(j)
+        assert report.kstar.total > 1.0
+        assert report.kstar.total == pytest.approx(math.fsum(j.p), rel=1e-15, abs=0.0)
+        assert report.cp_kstar.outcome is Outcome.FIRST_PRECEDES
+
     def test_distance_that_rounds_to_one(self):
         # 1e17 / (1 + 1e17) rounds to exactly 1.0
         report = compare_all(make_joint([(0.0, 1e17, 1.0)]))
@@ -355,8 +375,11 @@ class TestDecisionRule:
             (_off_by(-0.5e-12), ("mean", "cp_l1", "cp_kstar"), Outcome.EQUAL),
             (_off_by(4e-12), ("mean", "cp_l1", "cp_kstar"), Outcome.SECOND_PRECEDES),
             (_off_by(-4e-12), ("mean", "cp_l1", "cp_kstar"), Outcome.FIRST_PRECEDES),
-            # an infinite L1 term
+            # an infinite L1 term; the mean order then falls back to the means
             ([(1e308, -1e308, 0.5), (0.0, 1.0, 0.5)], ("cp_l1",), Outcome.INCONCLUSIVE),
+            ([(1e308, -1e308, 0.5), (0.0, 1.0, 0.5)], ("mean",), Outcome.SECOND_PRECEDES),
+            # Y > X surely, by 1e-7 at 1e6: far inside 1e-12 of the means, but not of the L1 terms
+            ([(1e6, 1e6 + 1e-7, 1.0)], ("sp", "mean", "cp_l1", "cp_kstar"), Outcome.FIRST_PRECEDES),
         ],
     )
     def test_boundaries(self, atoms, orders, outcome):
@@ -372,3 +395,162 @@ class TestDecisionRule:
             verdict = compare_all(joint).sp
             assert verdict.evidence == {"p_x_leq_y": 0.4999999999999996, "p_y_leq_x": 0.4999999999999996}
             assert verdict.outcome is Outcome.EQUAL
+
+
+class TestMeanOrderIsCpL1:
+    """E(Y) - E(X) = l1_below - l1_above, so the mean order decides on the L1 terms."""
+
+    def test_estimate_decides_the_mean_on_the_l1_points(self):
+        sample = PairedSample([1e6, 2e6, 3e6], [1e6 + 1e-7, 2e6 + 1e-7, 3e6 + 1e-7])
+        mean = estimate_orders(sample, bootstrap=20).comparison.mean
+        assert mean.outcome is Outcome.FIRST_PRECEDES
+        assert mean.evidence["mean_y"] - mean.evidence["mean_x"] < 1e-12 * 2e6  # the old rule's tie
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1e9, 1e9),
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-1.0, 1.0), st.floats(-1.7e308, 1.7e308)),
+                st.one_of(st.floats(-1.0, 1.0), st.floats(-1.7e308, 1.7e308)),
+                st.floats(1e-3, 1.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_mean_verdict_is_the_cp_l1_verdict_when_the_l1_terms_are_finite(self, location, offsets):
+        # pairs near a common location far from 0 hold the ties the means cannot see;
+        # offsets near the float range make y - x overflow, and the means decide
+        j = make_joint([(location + a, location + b, p) for a, b, p in offsets], normalize=True)
+        report = compare_all(j)
+        mean_x, mean_y = report.mean.evidence["mean_x"], report.mean.evidence["mean_y"]
+        if math.isfinite(report.l1.below_term) and math.isfinite(report.l1.above_term):
+            assert report.mean.outcome is report.cp_l1.outcome
+        elif mean_x == mean_y:
+            assert report.mean.outcome is Outcome.EQUAL
+        else:
+            want = Outcome.FIRST_PRECEDES if mean_y > mean_x else Outcome.SECOND_PRECEDES
+            assert report.mean.outcome is want
+
+    def test_a_mean_past_the_float_range_is_infinite(self):
+        # the masses total 1 + 4e-13, within 1e-12 of 1, so they are kept; E(Y)
+        # then passes the largest float and is infinite, not an error, and the
+        # finite L1 terms decide the mean order
+        big = 1.7976931348623157e308
+        report = compare_all(make_joint([(big, big, 0.5), (big / 2, big, 0.5 + 4e-13)]))
+        assert math.isfinite(report.mean.evidence["mean_x"]) and report.mean.evidence["mean_y"] == math.inf
+        assert report.cp_l1.outcome is report.mean.outcome is Outcome.FIRST_PRECEDES
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-100, 100), st.integers(-100, 100), st.integers(1, 10)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_sp_is_invariant_under_cubing(atoms):
+    # x -> x**3 is strictly increasing, and exact in floats on integers up to 100
+    # in magnitude, so it keeps each atom's side of the diagonal and the masses
+    j = make_joint(atoms, normalize=True)
+    cubed = compare_all(apply_transform(j, lambda t: t**3))
+    report = compare_all(j)
+    assert cubed.sp == report.sp and cubed.probs == report.probs
+
+
+#: Values at the edges of the float range: signed zeros, subnormals, the smallest
+#: normal, and magnitudes whose differences overflow.
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308, 1e-300,
+    1.0, -1.0, 3.0, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+)
+LARGEST = Fraction(1.7976931348623157e308)
+
+
+def _near(got: float, exact: Fraction, scale: Fraction, atoms: int) -> bool:
+    """``got`` within a few roundings of each summand of ``exact``: 1e-15 of the
+    summands' absolute sum ``scale``, plus one subnormal step per atom."""
+    slack = scale / 10**15 + atoms * Fraction(5e-324)
+    if math.isinf(got):
+        return abs(exact) + slack > LARGEST and (got > 0) == (exact > 0)
+    return abs(Fraction(got) - exact) <= slack
+
+
+def _fraction_terms(j) -> dict:
+    """Each term of ``compare_all`` in exact rational arithmetic on the atoms,
+    as (value, absolute sum of the summands).  A difference is the float
+    y - x, as in the engine: one that overflows makes its L1 term infinite
+    (None here) and counts its mass in K*."""
+    names = ("p_less", "p_equal", "p_greater", "l1_below", "l1_above", "kstar_below", "kstar_above")
+    terms = dict.fromkeys((*names, "mean_x", "mean_y"), (Fraction(0), Fraction(0)))
+
+    def add(name, value):
+        sums = terms[name]
+        terms[name] = None if value is None or sums is None else (sums[0] + value, sums[1] + abs(value))
+
+    for x, y, p in j.atoms:
+        d, p = y - x, Fraction(p)
+        add("mean_x", Fraction(x) * p)
+        add("mean_y", Fraction(y) * p)
+        if d == 0:
+            add("p_equal", p)
+            continue
+        side = "below" if d > 0 else "above"
+        dist = abs(Fraction(d)) if math.isfinite(d) else None
+        add("p_less" if side == "below" else "p_greater", p)
+        add(f"l1_{side}", None if dist is None else dist * p)
+        add(f"kstar_{side}", p if dist is None else p * dist / (1 + dist))
+    return terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(EDGE_VALUES), st.sampled_from(EDGE_VALUES), st.integers(1, 9)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_compare_all_matches_exact_rationals_at_the_float_edges(atoms):
+    j = make_joint(atoms, normalize=True)
+    report = compare_all(j)
+    got = {
+        **report.probs._asdict(),
+        "l1_below": report.l1.below_term,
+        "l1_above": report.l1.above_term,
+        "kstar_below": report.kstar.below_term,
+        "kstar_above": report.kstar.above_term,
+        **report.mean.evidence,
+    }
+    exact = _fraction_terms(j)
+    for name in ("p_less", "p_equal", "p_greater"):  # fsums of the same masses: correctly rounded
+        assert got[name] == float(exact[name][0]), name
+    for name, value in got.items():
+        if exact[name] is None:
+            assert value == math.inf, name
+        else:
+            assert _near(value, *exact[name], len(j)), name
+    # verdicts, where the exact statistics are clear of the rule's boundaries, of
+    # underflow (a subnormal d p can round to 0) and of the top of the float range
+    reach = [exact["p_less"][0] + exact["p_equal"][0] >= Fraction(1, 2),
+             exact["p_greater"][0] + exact["p_equal"][0] >= Fraction(1, 2)]
+    halves = (exact[name][0] + exact["p_equal"][0] - Fraction(1, 2) for name in ("p_less", "p_greater"))
+    if all(abs(q) > Fraction(2) ** -50 for q in halves):
+        sides = {(True, False): Outcome.FIRST_PRECEDES, (False, True): Outcome.SECOND_PRECEDES}
+        assert report.sp.outcome is sides.get(tuple(reach), Outcome.EQUAL)
+    for order, metric in (("cp_l1", "l1"), ("mean", "l1"), ("cp_kstar", "kstar")):
+        if exact[f"{metric}_below"] is None or exact[f"{metric}_above"] is None:
+            continue
+        below, above = exact[f"{metric}_below"][0], exact[f"{metric}_above"][0]
+        if max(below, above) > LARGEST / 2 or any(0 < t < Fraction(2) ** -1000 for t in (below, above)):
+            continue
+        gap = abs(below - above) / max(below, above, Fraction(1, 10**300))
+        if gap > Fraction(2, 10**12):
+            want = Outcome.FIRST_PRECEDES if below > above else Outcome.SECOND_PRECEDES
+        elif gap < Fraction(1, 2 * 10**12):
+            want = Outcome.EQUAL
+        else:
+            continue
+        assert getattr(report, order).outcome is want, order

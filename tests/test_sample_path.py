@@ -86,9 +86,10 @@ def test_estimate_orders_peak_on_discrete_pairs(csv_path):
 
 def test_estimate_orders_peak_on_continuous_pairs():
     # more than 256 distinct differences: one (6, n) table of the differences at a
-    # scalar unit weight, filled row by row, serves the points and the index-path
-    # resamples; stacking six finished columns into it would take the peak to 7.6
+    # scalar unit weight, filled row by row, serves the points and is freed before
+    # the bag of little bootstraps weighs its small subset tables (4.69 measured;
+    # 5.56 while the table also served per-resample index draws)
     sample = sample_example4(0.3, N, SeededStream(2))
     report, peak = _peak(lambda: estimate_orders(sample, bootstrap=20))
     assert report.n == N
-    assert peak < 6.5
+    assert peak < 5.5
