@@ -6,12 +6,13 @@ count (or, when there are many, each pair at count 1), go through the
 per-difference table of :mod:`~stochorder.precedence`, and each point is a
 row's fsum over n.  Intervals are seeded percentile intervals (Efron &
 Tibshirani 1993) of replicates that weigh a table at unit weight by
-multinomial counts: a bootstrap over at most 256 distinct differences
-(``method`` "bootstrap-percentile"), and above that a bag of little
-bootstraps (Kleiner, Talwalkar, Sarkar & Jordan, JRSS-B 76(4), 2014;
-"blb-percentile").  ``bootstrap`` counts the resamples in all.  All
-randomness flows through :class:`SeededStream`; there is no hidden entropy
-anywhere in this module.
+multinomial counts: ``bootstrap`` = B resamples over at most 256 distinct
+differences (``method`` "bootstrap-percentile"), and above that a bag of
+little bootstraps (Kleiner, Talwalkar, Sarkar & Jordan, JRSS-B 76(4), 2014;
+"blb-percentile") of 10 * ceil(B / 10) resamples, reported as B.  The bag's
+multinomial(n, 1/b) counts are Poisson counts topped up to n by uniform cell
+draws, which is exactly multinomial given their total.  All randomness flows
+through :class:`SeededStream`; there is no hidden entropy in this module.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ QUANTITIES = (*SIDED, "mean_diff")
 #: Distinct-difference count up to which the bootstrap weighs the distinct
 #: differences; above it, a bag of little bootstraps weighs subsets of the rows.
 _MULTINOMIAL_CUTOFF = 256
-#: The bag's subset count s and size exponent: each subset holds ceil(n ** gamma) rows.
-_BLB_SUBSETS, _BLB_GAMMA = 10, 0.7
+#: The bag's subset count s, size exponent (each subset holds ceil(n ** gamma) rows)
+#: and the most resamples of a subset whose counts are held at once.
+_BLB_SUBSETS, _BLB_GAMMA, _BLB_BLOCK = 10, 0.7, 100
 MAX_SAMPLE_SIZE = 10**8  #: largest sample size a sampler draws, checked before allocating
 MAX_BOOTSTRAP = 10**5  #: largest bootstrap resample count
 
@@ -109,6 +111,25 @@ def _with_mean_diff(stats: np.ndarray) -> np.ndarray:
     return np.concatenate([stats, stats[below : below + 1] - stats[above : above + 1]])
 
 
+def _uniform_counts(rng: np.random.Generator, n: int, b: int, r: int) -> np.ndarray:
+    """r rows of multinomial(n, 1/b) counts over b cells, as floats.
+
+    Given their total s, b i.i.d. Poisson(lam) cells are multinomial(s, 1/b),
+    so n - s uniform cell draws top them up to multinomial(n, 1/b).  With
+    lam = max(n - 4 sqrt(n), 0) / b a row passes n with probability about
+    3e-5; such a row is drawn again as multinomial(n, 1/b).
+    """
+    counts = rng.poisson(max(n - 4.0 * math.sqrt(n), 0.0) / b, (r, b))
+    over = counts.sum(axis=1) > n
+    counts[over] = rng.multinomial(n, np.full(b, 1.0 / b), size=int(over.sum()))
+    short = n - counts.sum(axis=1)
+    cells = rng.integers(0, b, short.sum()) + np.repeat(np.arange(0, r * b, b), short)
+    top = np.bincount(cells, minlength=r * b).reshape(r, b)
+    top += counts
+    del counts  # freed before the float copy: never more than two blocks of counts at once
+    return top.astype(float)
+
+
 def _estimates(d: np.ndarray, rng: np.random.Generator, n_boot: int, level: float):
     """The points of QUANTITIES, their interval ends, and the name of the scheme.
 
@@ -118,10 +139,11 @@ def _estimates(d: np.ndarray, rng: np.random.Generator, n_boot: int, level: floa
     differences by ``multinomial(n, counts / n)``, n_boot times.  Above it,
     the bag of little bootstraps draws _BLB_SUBSETS subsets of
     b = ceil(n ** _BLB_GAMMA) rows without replacement, and weighs each by
-    ceil(n_boot / _BLB_SUBSETS) draws of ``multinomial(n, 1/b)``.  Each
-    subset's replicates centre on the subset's own point, so the interval
-    adds the mean over the subsets of the percentiles of (replicate - subset
-    point) to the full-sample point; averaging raw endpoints under-covers.
+    ceil(n_boot / _BLB_SUBSETS) ``_uniform_counts`` rows, drawn _BLB_BLOCK
+    at a time so that only their spread outlives a block.  Each subset's
+    replicates centre on the subset's own point, so the interval adds the
+    mean over the subsets of the percentiles of (replicate - subset point)
+    to the full-sample point; averaging raw endpoints under-covers.
     """
     n = d.size
     alpha = 100.0 * (1.0 - level) / 2.0
@@ -136,13 +158,13 @@ def _estimates(d: np.ndarray, rng: np.random.Generator, n_boot: int, level: floa
         lo, hi = np.percentile(_with_mean_diff(_table(values, 1.0) @ weights.T / n), percents, axis=1)
         method = "bootstrap-percentile"
     else:
-        b = math.ceil(n**_BLB_GAMMA)
-        uniform = np.full(b, 1.0 / b)
+        b, r = math.ceil(n**_BLB_GAMMA), math.ceil(n_boot / _BLB_SUBSETS)
         offsets = np.zeros((2, len(QUANTITIES)))
         for _ in range(_BLB_SUBSETS):
             table = _table(d[rng.choice(n, b, replace=False)], 1.0)
-            weights = rng.multinomial(n, uniform, size=math.ceil(n_boot / _BLB_SUBSETS)).astype(float)
-            spread = table @ weights.T / n - table.sum(axis=1, keepdims=True) / b
+            point = table.sum(axis=1, keepdims=True) / b
+            blocks = (min(_BLB_BLOCK, r - i) for i in range(0, r, _BLB_BLOCK))
+            spread = np.hstack([table @ _uniform_counts(rng, n, b, k).T / n - point for k in blocks])
             offsets += np.percentile(_with_mean_diff(spread), percents, axis=1)
         lo, hi = points + offsets / _BLB_SUBSETS
         method = "blb-percentile"
@@ -275,8 +297,7 @@ def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
     rng = stream.rng()
     in_band = rng.random(n) < band_mass
     n_band = int(np.count_nonzero(in_band))
-    x = np.empty(n)
-    y = np.empty(n)
+    x, y = np.empty(n), np.empty(n)
     # band: rejection from the strip x in (0, 1), y in (x - eps, x]
     u, v = _rejection(
         n_band,

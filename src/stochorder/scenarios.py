@@ -171,18 +171,12 @@ GRID_POINTS = 200
 def _clip_halfplane(poly, a: float, b: float, c: float):
     """Vertices of a convex polygon intersected with {a x + b y <= c}."""
     out = []
-    m = len(poly)
-    for i in range(m):
-        p = poly[i]
-        q = poly[(i + 1) % m]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
-        p_in = fp <= 0.0
-        q_in = fq <= 0.0
-        if p_in != q_in:
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        fp, fq = a * p[0] + b * p[1] - c, a * q[0] + b * q[1] - c
+        if (fp <= 0.0) != (fq <= 0.0):
             t = fp / (fp - fq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        if q_in:
+        if fq <= 0.0:
             out.append(q)
     return tuple(out)
 
@@ -246,18 +240,16 @@ class BandTriangleScenario:
     def marginal_density_x(self, ts) -> np.ndarray:
         """Marginal density of X: y-extent of each region at fixed x."""
         t = np.atleast_1d(np.asarray(ts, dtype=float))
-        band_len = np.minimum(t, self.eps)
-        tri_len = np.maximum(0.0, self.eps - t)
-        inside = (t > 0.0) & (t < 1.0)
-        return np.where(inside, self.band_density * band_len + self.triangle_density * tri_len, 0.0)
+        band_len, tri_len = np.minimum(t, self.eps), np.maximum(0.0, self.eps - t)
+        density = self.band_density * band_len + self.triangle_density * tri_len
+        return np.where((t > 0.0) & (t < 1.0), density, 0.0)
 
     def marginal_density_y(self, ts) -> np.ndarray:
         """Marginal density of Y: x-extent of each region at fixed y."""
         t = np.atleast_1d(np.asarray(ts, dtype=float))
-        band_len = np.minimum(self.eps, 1.0 - t)
-        tri_len = np.maximum(0.0, t - (1.0 - self.eps))
-        inside = (t > 0.0) & (t < 1.0)
-        return np.where(inside, self.band_density * band_len + self.triangle_density * tri_len, 0.0)
+        band_len, tri_len = np.minimum(self.eps, 1.0 - t), np.maximum(0.0, t - (1.0 - self.eps))
+        density = self.band_density * band_len + self.triangle_density * tri_len
+        return np.where((t > 0.0) & (t < 1.0), density, 0.0)
 
     def marginal_grid_pair(self, m: int = GRID_POINTS) -> GridDensityPair:
         """Both marginal densities tabulated on an m-point interior grid."""
@@ -274,12 +266,7 @@ def example4_spec(eps: float) -> BandTriangleScenario:
     """Band-and-triangle scenario for a given eps in (0, 1)."""
     d_band, d_triangle = band_triangle_densities(eps)
     eps = float(eps)
-    return BandTriangleScenario(
-        eps=eps,
-        band_density=d_band,
-        triangle_density=d_triangle,
-        reference_p_x_leq_y=eps * eps / 2.0,
-    )
+    return BandTriangleScenario(eps, d_band, d_triangle, reference_p_x_leq_y=eps * eps / 2.0)
 
 
 #: Fixed bound of the deterministic quadratic-reference row; it sets only its PASS/NOTE label.
@@ -316,18 +303,12 @@ def verify_example4(
     tied = abs(p_yx_oracle - 0.5) <= mc_tol and abs(p_yx_mc - 0.5) <= mc_tol
     checks.append(CheckResult("sp_half_test_vs_oracle", p_yx_oracle, p_yx_mc, agree or tied))
 
-    checks.append(
-        _check(
-            "p_x_leq_y_reference_quadratic",
-            scn.reference_p_x_leq_y,
-            p_oracle,
-            REFERENCE_TOL,
-            asserted=False,
-            note="the quadratic reference eps^2/2 is the bare triangle area; the stated"
-            " density assigns mass eps to that region, and the polygon-integration"
-            " oracle above is authoritative.",
-        )
+    note = (
+        "the quadratic reference eps^2/2 is the bare triangle area; the stated density assigns"
+        " mass eps to that region, and the polygon-integration oracle above is authoritative."
     )
+    quadratic = (scn.reference_p_x_leq_y, p_oracle, REFERENCE_TOL)
+    checks.append(_check("p_x_leq_y_reference_quadratic", *quadratic, asserted=False, note=note))
     return checks
 
 
@@ -386,10 +367,8 @@ def verify_dice(cycle: DiceCycle) -> list[CheckResult]:
         verdict = compare_sp(pair.joint)
         name = f"P({pair.first}<{pair.second})"
         checks.append(_check(name, p_enum, verdict.evidence["p_x_leq_y"], 1e-12))
-        outcome = verdict.outcome.value
-        checks.append(
-            _check(f"{pair.first}_precedes_{pair.second}", Outcome.FIRST_PRECEDES.value, outcome)
-        )
+        precedes = f"{pair.first}_precedes_{pair.second}"
+        checks.append(_check(precedes, Outcome.FIRST_PRECEDES.value, verdict.outcome.value))
         checks.append(_check(f"enumerated {name} > 1/2", True, p_enum > 0.5))
         all_first = all_first and verdict.outcome is Outcome.FIRST_PRECEDES
     checks.append(_check("sp_cycle", True, all_first))

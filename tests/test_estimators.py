@@ -1,5 +1,6 @@
 """Sampling, plug-in estimation and bootstrap confidence intervals."""
 
+import itertools
 import json
 import math
 import re
@@ -358,6 +359,71 @@ class TestEstimateOrders:
             if path == "index":
                 assert (got.ci_low, got.ci_high) == (want.ci_low, want.ci_high)
         assert swapped.quantities["mean_diff"].point == -report.quantities["mean_diff"].point
+
+
+class TestUniformCounts:
+    """The bag's counts are exactly multinomial(n, 1/b): Poisson cells topped up to n."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10**7), b=st.integers(1, 400), r=st.integers(1, 4), seed=st.integers(0, 2**32))
+    def test_rows_are_nonnegative_integers_summing_to_n(self, n, b, r, seed):
+        counts = estimators._uniform_counts(np.random.default_rng(seed), n, b, r)
+        assert counts.shape == (r, b) and counts.dtype == float
+        assert (counts >= 0).all() and (counts == np.floor(counts)).all()
+        assert (counts.sum(axis=1) == n).all()
+
+    @pytest.mark.parametrize("n, b", [(6, 3), (25, 3)])
+    def test_chi_square_against_the_multinomial_pmf(self, n, b):
+        # n = 6 takes the top-up alone; at n = 25, lam = 5/3 and the Poisson cells
+        # carry most of the count.  Outcomes expected fewer than 5 times are pooled
+        rows = 40_000
+        counts = estimators._uniform_counts(np.random.default_rng(123), n, b, rows)
+        seen = Counter(map(tuple, counts.astype(int).tolist()))
+        outcomes = [c for c in itertools.product(range(n + 1), repeat=b) if sum(c) == n]
+        pmf = [math.factorial(n) / math.prod(map(math.factorial, c)) / b**n for c in outcomes]
+        assert math.isclose(sum(pmf), 1.0)
+        expected = rows * np.array(pmf)
+        observed = np.array([seen[c] for c in outcomes], dtype=float)
+        rare = expected < 5.0
+        if rare.any():
+            expected = np.append(expected[~rare], expected[rare].sum())
+            observed = np.append(observed[~rare], observed[rare].sum())
+        chi2, df = float(((observed - expected) ** 2 / expected).sum()), expected.size - 1
+        # the 0.999 quantile of chi-square(df), by the Wilson-Hilferty approximation
+        bound = df * (1.0 - 2.0 / (9 * df) + 3.09 * math.sqrt(2.0 / (9 * df))) ** 3
+        assert chi2 < bound, (chi2, df)
+
+    def test_a_row_past_n_is_drawn_again(self):
+        redrawn = []
+
+        class Overshooting(np.random.Generator):
+            def poisson(self, lam, size):
+                counts = super().poisson(lam, size)
+                counts[::2, 0] += 10**6  # every other row passes n
+                return counts
+
+            def multinomial(self, n, pvals, size):
+                redrawn.append(size)
+                return super().multinomial(n, pvals, size=size)
+
+        counts = estimators._uniform_counts(Overshooting(np.random.PCG64(5)), 1000, 40, 6)
+        assert redrawn == [3]
+        assert (counts.sum(axis=1) == 1000).all() and (counts >= 0).all()
+        assert counts[:, 0].max() < 10**6
+
+    @pytest.mark.parametrize("n", [1, 2, 15])
+    def test_below_16_every_count_comes_from_the_top_up(self, n):
+        # n - 4 sqrt(n) < 0 for n < 16, so lam clamps to 0 and the Poisson cells are empty
+        rates = []
+
+        class Recording(np.random.Generator):
+            def poisson(self, lam, size):
+                rates.append(lam)
+                return super().poisson(lam, size)
+
+        counts = estimators._uniform_counts(Recording(np.random.PCG64(7)), n, 3, 50)
+        assert rates == [0.0]
+        assert (counts.sum(axis=1) == n).all() and (counts >= 0).all()
 
 
 class TestSampleExample4:
