@@ -5,13 +5,13 @@ D = Y - X: the distinct differences of the sample, each weighted by its
 count (or, when there are many, each pair at count 1), go through the
 per-difference table of :mod:`~stochorder.precedence`, and each point is a
 row's fsum over n.  Intervals are seeded percentile intervals (Efron &
-Tibshirani 1993) of replicates that weigh a table at unit weight by
-multinomial counts: ``bootstrap`` = B resamples over at most 256 distinct
-differences (``method`` "bootstrap-percentile"), and above that a bag of
-little bootstraps (Kleiner, Talwalkar, Sarkar & Jordan, JRSS-B 76(4), 2014;
-"blb-percentile") of 10 * ceil(B / 10) resamples, reported as B.  The bag's
-multinomial(n, 1/b) counts are Poisson counts topped up to n by uniform cell
-draws, which is exactly multinomial given their total.  All randomness flows
+Tibshirani 1993): the points plus one percentile of the pooled replicates of
+a table's subsets, each weighed at unit weight by multinomial counts and
+centred on its subset's point.  Up to 256 distinct differences the one
+subset is those differences, with B resamples ("bootstrap-percentile");
+above that, a bag of little bootstraps (Kleiner, Talwalkar, Sarkar & Jordan,
+JRSS-B 76(4), 2014; "blb-percentile") weighs 10 subsets of rows by
+10 * ceil(B / 10) resamples, reported as B.  All randomness flows
 through :class:`SeededStream`; there is no hidden entropy in this module.
 """
 
@@ -134,40 +134,35 @@ def _estimates(d: np.ndarray, rng: np.random.Generator, n_boot: int, level: floa
     """The points of QUANTITIES, their interval ends, and the name of the scheme.
 
     The sided points are the fsums of the count-weighted table of the
-    empirical law of D, over n.  A replicate depends only on the resample's
-    empirical law of D, so up to the cutoff it weighs the distinct
-    differences by ``multinomial(n, counts / n)``, n_boot times.  Above it,
-    the bag of little bootstraps draws _BLB_SUBSETS subsets of
-    b = ceil(n ** _BLB_GAMMA) rows without replacement, and weighs each by
-    ceil(n_boot / _BLB_SUBSETS) ``_uniform_counts`` rows, drawn _BLB_BLOCK
-    at a time so that only their spread outlives a block.  Each subset's
-    replicates centre on the subset's own point, so the interval adds the
-    mean over the subsets of the percentiles of (replicate - subset point)
-    to the full-sample point; averaging raw endpoints under-covers.
+    empirical law of D, over n.  A replicate weighs a subset's unit-weight
+    table by multinomial(n, p) counts, over n.  Up to the cutoff the one
+    subset is the distinct differences at p = counts / n, drawn n_boot
+    times; above it, the bag draws _BLB_SUBSETS subsets of
+    b = ceil(n ** _BLB_GAMMA) rows without replacement, at p = 1 / b, each
+    drawn ceil(n_boot / _BLB_SUBSETS) times.  Counts are drawn _BLB_BLOCK
+    resamples at a time; only the replicates' spreads about their subset's
+    point, ``table @ p``, are kept, and one percentile of them all is added
+    to the full-sample points.
     """
     n = d.size
-    alpha = 100.0 * (1.0 - level) / 2.0
-    percents = [alpha, 100.0 - alpha]
     values, counts = np.unique(d, return_counts=True)
-    few = values.size <= _MULTINOMIAL_CUTOFF
-    if not few:  # each row a category of count 1; np.unique's arrays, as large as d, are freed
-        values, counts = d, 1.0
+    if values.size <= _MULTINOMIAL_CUTOFF:
+        s, r, p, method = 1, n_boot, counts / n, "bootstrap-percentile"
+        subset, draw = lambda: values, lambda k: rng.multinomial(n, p, size=k).astype(float)
+    else:  # each row a category of count 1; np.unique's arrays, as large as d, are freed
+        values, counts, b, s = d, 1.0, math.ceil(n**_BLB_GAMMA), _BLB_SUBSETS
+        r, p, method = math.ceil(n_boot / s), np.full(b, 1.0 / b), "blb-percentile"
+        subset, draw = lambda: d[rng.choice(n, b, replace=False)], lambda k: _uniform_counts(rng, n, b, k)
     points = _with_mean_diff(np.array([_fsum(row) / n for row in _table(values, counts)]))
-    if few:
-        weights = rng.multinomial(n, counts / n, size=n_boot).astype(float)
-        lo, hi = np.percentile(_with_mean_diff(_table(values, 1.0) @ weights.T / n), percents, axis=1)
-        method = "bootstrap-percentile"
-    else:
-        b, r = math.ceil(n**_BLB_GAMMA), math.ceil(n_boot / _BLB_SUBSETS)
-        offsets = np.zeros((2, len(QUANTITIES)))
-        for _ in range(_BLB_SUBSETS):
-            table = _table(d[rng.choice(n, b, replace=False)], 1.0)
-            point = table.sum(axis=1, keepdims=True) / b
-            blocks = (min(_BLB_BLOCK, r - i) for i in range(0, r, _BLB_BLOCK))
-            spread = np.hstack([table @ _uniform_counts(rng, n, b, k).T / n - point for k in blocks])
-            offsets += np.percentile(_with_mean_diff(spread), percents, axis=1)
-        lo, hi = points + offsets / _BLB_SUBSETS
-        method = "blb-percentile"
+    spread = np.empty((len(QUANTITIES), s * r))
+    for start in range(0, s * r, r):
+        table = _table(subset(), 1.0)
+        point = (table @ p)[:, None]
+        for i in range(start, start + r, _BLB_BLOCK):
+            k = min(_BLB_BLOCK, start + r - i)
+            spread[:, i : i + k] = _with_mean_diff(table @ draw(k).T / n - point)
+    alpha = 100.0 * (1.0 - level) / 2.0
+    lo, hi = points + np.percentile(spread, [alpha, 100.0 - alpha], axis=1, overwrite_input=True)
     # quantile noise must not push the interval off its own point estimate
     return points, np.minimum(lo, points), np.maximum(hi, points), method
 

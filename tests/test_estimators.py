@@ -240,10 +240,11 @@ class TestEstimateOrders:
         assert report.to_dict() == estimate_orders(sample, bootstrap=20).to_dict()
 
     def test_bootstrap_weighs_one_table_at_unit_weight(self, monkeypatch):
-        # the multinomial path weighs the distinct differences, by their counts
-        # for the points and at weight 1 for the resamples; above the cutoff the
-        # points take one table of all the rows at weight 1, and the bag of
-        # little bootstraps one table of each subset's ceil(600 ** 0.7) = 89 rows
+        # the multinomial path's one subset is the distinct differences, weighed
+        # by their counts for the points and at weight 1 for the resamples; above
+        # the cutoff the points take one table of all the rows at weight 1, and
+        # the bag of little bootstraps one table of each subset's
+        # ceil(600 ** 0.7) = 89 rows
         calls = []
 
         def spy(d, w):
@@ -280,6 +281,25 @@ class TestEstimateOrders:
         assert calls == [11, 11]
         est = report.quantities["mean_diff"]
         assert est.ci_low < est.point < est.ci_high
+
+    def test_blocked_multinomial_draws_are_one_draw(self):
+        # two and a half blocks of resamples: drawn block by block, rng.multinomial
+        # consumes its stream as one call does, so the interval ends are the
+        # percentiles of one draw of all the resamples, up to rounding
+        joint = make_joint([(0, 1, 0.3), (1, 0, 0.2), (2, 2, 0.1), (3, 1, 0.3), (0, 4, 0.1)])
+        sample = sample_joint(joint, 1000, SeededStream(3))
+        bootstrap = 2 * estimators._BLB_BLOCK + estimators._BLB_BLOCK // 2
+        report = estimate_orders(sample, bootstrap=bootstrap, stream=SeededStream(6))
+        assert report.method == "bootstrap-percentile"
+        values, counts = np.unique(sample.y - sample.x, return_counts=True)
+        draws = SeededStream(6).rng().multinomial(sample.n, counts / sample.n, size=bootstrap)
+        replicates = estimators._with_mean_diff(estimators._table(values, 1.0) @ draws.T / sample.n)
+        for name, low, high in zip(estimators.QUANTITIES, *np.percentile(replicates, [2.5, 97.5], axis=1)):
+            est = report.quantities[name]
+            width = est.ci_high - est.ci_low
+            assert width > 0.0, name
+            assert abs(est.ci_low - min(low, est.point)) <= 1e-12 * width, name
+            assert abs(est.ci_high - max(high, est.point)) <= 1e-12 * width, name
 
     @pytest.mark.parametrize("level", ["0.5", None])
     def test_level_that_is_not_a_number(self, level):
@@ -334,18 +354,18 @@ class TestEstimateOrders:
 
     # the distinct differences of a sample are sorted, so a swap, which
     # negates them, changes which one each multinomial draw lands on: there
-    # only the points mirror.  Above the cutoff ("index") the bag of little
-    # bootstraps draws row indices, so a swap only negates each subset's
-    # differences and the intervals mirror bit for bit
-    @pytest.mark.parametrize("path", ["index", "multinomial"])
+    # only the points mirror.  Above the cutoff ("bag") the bag of little
+    # bootstraps draws its subsets and counts by row position, so a swap only
+    # negates each subset's differences and the intervals mirror bit for bit
+    @pytest.mark.parametrize("path", ["bag", "multinomial"])
     def test_swapping_the_sample_mirrors_the_report(self, path):
-        if path == "index":
+        if path == "bag":
             sample = sample_example4(0.3, 1000, SeededStream(3))
         else:
             joint = make_joint([(0, 1, 0.3), (1, 0, 0.2), (2, 2, 0.1), (3, 1, 0.4)])
             sample = sample_joint(joint, 1000, SeededStream(3))
         distinct = len(set(zip(sample.x.tolist(), sample.y.tolist())))
-        assert (distinct > estimators._MULTINOMIAL_CUTOFF) == (path == "index")
+        assert (distinct > estimators._MULTINOMIAL_CUTOFF) == (path == "bag")
         report = estimate_orders(sample, bootstrap=200, stream=SeededStream(6))
         swapped = estimate_orders(PairedSample(sample.y, sample.x), bootstrap=200, stream=SeededStream(6))
         for key in ("sp", "mean", "cp_l1", "cp_kstar"):
@@ -356,7 +376,7 @@ class TestEstimateOrders:
         for name, other in mirror.items():
             got, want = swapped.quantities[other], report.quantities[name]
             assert got.point == want.point
-            if path == "index":
+            if path == "bag":
                 assert (got.ci_low, got.ci_high) == (want.ci_low, want.ci_high)
         assert swapped.quantities["mean_diff"].point == -report.quantities["mean_diff"].point
 
@@ -534,17 +554,25 @@ class TestExample4Oracle:
             "mean_diff": 0.14118,
         }
 
-    @pytest.mark.parametrize("n", [500, 2000])
-    def test_bag_of_little_bootstraps_covers_the_oracle(self, n):
+    @pytest.mark.parametrize(
+        "n, bootstrap",
+        [
+            pytest.param(500, 500, id="500"),
+            pytest.param(2000, 500, id="2000"),
+            pytest.param(2000, 200, id="2000-200"),
+        ],
+    )
+    def test_bag_of_little_bootstraps_covers_the_oracle(self, n, bootstrap):
         # both sizes are above the cutoff; every interval must cover the exact
         # term at 0.95 within three binomial standard errors over the seeds.
-        # 50 resamples per subset: with 20 (bootstrap=200), the 2.5% and 97.5%
-        # percentiles of each subset sit inside the tails and n = 2000 covers ~0.90
+        # One percentile of all subsets' pooled centred replicates: with the mean
+        # of each subset's percentiles of 20 resamples (bootstrap=200), those sat
+        # inside the tails and n = 2000 covered 0.89-0.905
         seeds, truth = 200, oracle_example4_terms(0.3)
         covered = Counter()
         for seed in range(seeds):
             sample = sample_example4(0.3, n, SeededStream(seed))
-            report = estimate_orders(sample, bootstrap=500, stream=SeededStream(10_000 + seed))
+            report = estimate_orders(sample, bootstrap=bootstrap, stream=SeededStream(10_000 + seed))
             assert report.method == "blb-percentile"
             for name, est in report.quantities.items():
                 covered[name] += est.ci_low <= truth[name] <= est.ci_high

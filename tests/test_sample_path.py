@@ -7,9 +7,11 @@ copies the caller's arrays is tested in test_distributions.py.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from stochorder import (
+    PairedSample,
     SeededStream,
     estimate_orders,
     make_joint,
@@ -96,11 +98,20 @@ def test_estimate_orders_peak_on_continuous_pairs():
 
 
 def test_bag_peak_does_not_grow_with_the_resamples():
-    # the bag draws and weighs a subset's counts at most 100 resamples at a time and
-    # keeps only their spread: 10,000 resamples peak within 1.5x of 1000, and 1000
-    # peak no higher than the 8.46x of 16 * 20k bytes (2.71 MB; 24.9 MB at 10,000)
-    # measured while each subset's counts were drawn in one block
-    sample = sample_example4(0.3, 20_000, SeededStream(0))
-    (_, small), (_, large) = (_peak(lambda: estimate_orders(sample, bootstrap=b)) for b in (1000, 10_000))
-    small, large = small * N / sample.n, large * N / sample.n
-    assert small <= 8.46 and large <= 1.5 * small, (small, large)
+    # both paths draw and weigh a subset's counts at most 100 resamples at a time and
+    # keep only the replicates' spread, 7 floats a resample: from 1000 resamples to
+    # 10,000, the peak grows by at most 1.5x those 9000 spreads.  Integer pairs with
+    # 256 distinct differences take the multinomial path, which grew by 36.8 MB while
+    # it drew all the resamples' counts at once.  On the bag, 10,000 resamples peak
+    # within 1.5x of 1000, and 1000 no higher than the 8.46x of 16 * 20k bytes
+    # (2.71 MB; 24.9 MB at 10,000) measured while each subset's counts were one block
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 1000, 20_000).astype(float)
+    integers = PairedSample(x, x + rng.integers(-128, 128, x.size))
+    assert np.unique(integers.y - integers.x).size == 256
+    for sample in (sample_example4(0.3, 20_000, SeededStream(0)), integers):
+        (report, small), (_, large) = (_peak(lambda: estimate_orders(sample, bootstrap=b)) for b in (1000, 10_000))
+        assert (large - small) * 16 * N <= 1.5 * 9000 * 7 * 8, (report.method, small, large)
+        small, large = small * N / sample.n, large * N / sample.n
+        if report.method == "blb-percentile":
+            assert small <= 8.46 and large <= 1.5 * small, (small, large)
