@@ -60,11 +60,15 @@ _POINT = (2, "point", "a (value, p) pair", "value")
 
 
 def _floats(value, message: str) -> np.ndarray:
-    """``value`` as a new float array, or ValidationError(message) when it is not numbers."""
-    try:
-        return np.array(value, dtype=float)
+    """``value`` as a new float array, or ValidationError(message) if not numbers (str or bytes named)."""
+    try:  # a numeric ndarray costs one look at its dtype
+        array = np.asarray(value)
+        objects = np.asarray(value, dtype=object).flat if array.dtype.kind in "OSU" else ()
+        if not (text := [v for v in objects if isinstance(v, (str, bytes))]):
+            return np.array(array if array.dtype.kind in "biuf" else value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(message) from None
+    raise ValidationError(f"{message}, got {text[0]!r}")
 
 
 def _fsum(column: np.ndarray) -> float:
@@ -114,9 +118,9 @@ def _at(row) -> str:
 def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.ndarray:
     """Raw (coordinates..., mass) rows as an (n, width) array, checked.
 
-    Coordinates must be finite and masses finite and >= 0.  The conversion
-    and the checks run vectorized; only when they fail does the
-    row-by-row loop run, to name the first bad row.
+    Values are numbers, never str or bytes; coordinates finite, masses
+    finite and >= 0.  The conversion and the checks run vectorized; only
+    when they fail does the row-by-row loop run, to name the first bad row.
     """
     try:
         iter(raw)
@@ -124,16 +128,20 @@ def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.nd
         raise ValidationError(f"expected an iterable of {item}s, got {raw!r}") from None
     if not isinstance(raw, (list, tuple, np.ndarray)):
         raw = list(raw)
-    try:
-        rows = np.asarray(raw, dtype=float)
+    try:  # str and bytes, which float() reads, go to the loop, which names their row
+        rows = np.asarray(raw)
+        kind = rows.dtype.kind
+        text = kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in rows.flat)
+        rows = rows.astype(float, copy=False) if kind in "biuf" else np.asarray([] if text else raw, float)
     except (TypeError, ValueError, OverflowError):
         rows = np.empty(0)
     if rows.shape[1:] == (width,) and np.isfinite(rows).all() and (rows[:, -1] >= 0.0).all():
         return rows
     cleaned = []
     for i, row in enumerate(raw):
-        try:
-            values = tuple(map(float, row))
+        try:  # float() reads str and bytes too, but they are not numbers here
+            values = (row,) if isinstance(row, (str, bytes)) else tuple(row)
+            values = () if any(isinstance(v, (str, bytes)) for v in values) else tuple(map(float, values))
         except (TypeError, ValueError, OverflowError):
             values = ()
         if len(values) != width:
@@ -287,11 +295,11 @@ def make_joint(
     Duplicate (x, y) pairs are merged and zero-mass atoms are dropped.  A
     total within 1e-12 of 1 is kept bit-exact; any other total is rescaled
     to 1, within that same 1e-12.  A raw total further than 1e-9 from 1 is
-    rejected unless ``normalize=True``.
+    rejected unless ``normalize=True``.  Bools read as 0 and 1.
 
     Raises:
-        ValidationError: on a negative, non-finite or malformed atom (the
-            message names the offending atom by index and coordinates).
+        ValidationError: on a negative, non-finite or malformed atom, str
+            and bytes included (the message names it by index and coordinates).
         EmptyDistribution: if no atom has positive mass.
         NotNormalizable: if the raw total is off by more than 1e-9 and
             normalization was not requested.
@@ -379,7 +387,7 @@ def expectation(m: FiniteMarginal) -> float:
 
 @dataclass(frozen=True)
 class PairedSample:
-    """Observed (x, y) pairs held as two aligned float arrays."""
+    """Observed (x, y) pairs as two aligned float arrays; bools read as 0 and 1, str and bytes fail."""
 
     x: np.ndarray
     y: np.ndarray

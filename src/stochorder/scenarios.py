@@ -11,8 +11,8 @@ Five named scenarios exercise every engine in the package:
   under general monotone maps (affine maps do preserve it).
 * ``example4`` -- a band-and-triangle density on the unit square for which
   stochastic precedence and the usual stochastic order point in opposite
-  directions.  Expected values come from an independent polygon-clipping
-  integration oracle rather than from the sampler's own mass formulas.
+  directions.  Expected values come from closed-form integrals over its
+  two regions, not from the sampler's own mass formulas.
 * ``dice`` -- three intransitive dice demonstrating that stochastic
   precedence admits cycles under independent coupling.
 
@@ -160,39 +160,20 @@ def verify_fixture(fix: ScenarioFixture) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# Band-and-triangle density, with a polygon-clipping integration oracle
-
-_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+# Band-and-triangle density, with closed-form integrals over its two regions
 
 #: Nodes of the interior grid on which example4's marginal densities are tabulated.
 GRID_POINTS = 200
 
 
-def _clip_halfplane(poly, a: float, b: float, c: float):
-    """Vertices of a convex polygon intersected with {a x + b y <= c}."""
-    out = []
-    for p, q in zip(poly, poly[1:] + poly[:1]):
-        fp, fq = a * p[0] + b * p[1] - c, a * q[0] + b * q[1] - c
-        if (fp <= 0.0) != (fq <= 0.0):
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        if fq <= 0.0:
-            out.append(q)
-    return tuple(out)
-
-
-def _polygon_area(poly) -> float:
-    edges = zip(poly, poly[1:] + poly[:1])
-    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)) / 2.0
-
-
 @dataclass(frozen=True)
 class BandTriangleScenario:
-    """The crossing-verdict density plus its integration oracle.
+    """The crossing-verdict density plus its closed-form oracle.
 
-    The sampler derives region masses from closed-form areas; the oracle
-    methods here integrate the same piecewise-constant density by clipping
-    the region polygons, which keeps the two computations independent.
+    The oracle methods integrate the density, a on the band
+    {0 <= x - y <= eps} and b on the triangle {y - x >= 1 - eps}, in closed
+    form over each region, apart from the sampler's mass formula.  Y has
+    the law of 1 - X, as f_Y(t) = f_X(1 - t).
     ``reference_p_x_leq_y`` is the quadratic closed form eps**2/2 sometimes
     quoted for P(X <= Y); it equals the bare area of the triangle, whereas
     integrating the stated density over the triangle gives mass eps.  The
@@ -205,37 +186,25 @@ class BandTriangleScenario:
     triangle_density: float
     reference_p_x_leq_y: float
 
-    def _band_polygon(self):
-        poly = _clip_halfplane(_SQUARE, -1.0, 1.0, 0.0)  # x - y >= 0
-        return _clip_halfplane(poly, 1.0, -1.0, self.eps)  # x - y <= eps
-
-    def _triangle_polygon(self):
-        return _clip_halfplane(_SQUARE, 1.0, -1.0, -(1.0 - self.eps))  # y - x >= 1 - eps
-
-    def _clipped_mass(self, a: float, b: float, c: float) -> float:
-        """Mass of the density on {a x + b y <= c}, by polygon clipping."""
-        band = _polygon_area(_clip_halfplane(self._band_polygon(), a, b, c))
-        tri = _polygon_area(_clip_halfplane(self._triangle_polygon(), a, b, c))
-        return self.band_density * band + self.triangle_density * tri
-
     def oracle_region_masses(self) -> tuple[float, float]:
-        """Band and triangle masses by clipped-area integration."""
-        return (
-            self.band_density * _polygon_area(self._band_polygon()),
-            self.triangle_density * _polygon_area(self._triangle_polygon()),
-        )
+        """Band and triangle masses: each density times its region's area."""
+        e = self.eps
+        return self.band_density * (e - e * e / 2.0), self.triangle_density * e * e / 2.0
 
     def oracle_p_x_leq_y(self) -> float:
-        """P(X <= Y) by integrating the density over the half-plane x <= y."""
-        return self._clipped_mass(1.0, -1.0, 0.0)
+        """P(X <= Y): the triangle's mass, as the band lies on x >= y and the diagonal has none."""
+        return self.oracle_region_masses()[1]
 
     def oracle_cdf_x(self, ts) -> np.ndarray:
-        """Marginal cdf of X at each abscissa, by clipped-area integration."""
-        return np.asarray([self._clipped_mass(1.0, 0.0, float(t)) for t in np.atleast_1d(ts)])
+        """Marginal cdf of X at each abscissa: both regions' mass on x <= t."""
+        t, e = np.clip(np.atleast_1d(np.asarray(ts, dtype=float)), 0.0, 1.0), self.eps
+        band = np.minimum(t, e) ** 2 / 2.0 + e * np.maximum(t - e, 0.0)
+        triangle = (e * e - np.maximum(e - t, 0.0) ** 2) / 2.0
+        return self.band_density * band + self.triangle_density * triangle
 
     def oracle_cdf_y(self, ts) -> np.ndarray:
-        """Marginal cdf of Y at each abscissa, by clipped-area integration."""
-        return np.asarray([self._clipped_mass(0.0, 1.0, float(t)) for t in np.atleast_1d(ts)])
+        """Marginal cdf of Y at each abscissa, as Y has the law of 1 - X."""
+        return 1.0 - self.oracle_cdf_x(1.0 - np.asarray(ts, dtype=float))
 
     def marginal_density_x(self, ts) -> np.ndarray:
         """Marginal density of X: y-extent of each region at fixed x."""
@@ -245,11 +214,8 @@ class BandTriangleScenario:
         return np.where((t > 0.0) & (t < 1.0), density, 0.0)
 
     def marginal_density_y(self, ts) -> np.ndarray:
-        """Marginal density of Y: x-extent of each region at fixed y."""
-        t = np.atleast_1d(np.asarray(ts, dtype=float))
-        band_len, tri_len = np.minimum(self.eps, 1.0 - t), np.maximum(0.0, t - (1.0 - self.eps))
-        density = self.band_density * band_len + self.triangle_density * tri_len
-        return np.where((t > 0.0) & (t < 1.0), density, 0.0)
+        """Marginal density of Y, as Y has the law of 1 - X."""
+        return self.marginal_density_x(1.0 - np.asarray(ts, dtype=float))
 
     def marginal_grid_pair(self, m: int = GRID_POINTS) -> GridDensityPair:
         """Both marginal densities tabulated on an m-point interior grid."""

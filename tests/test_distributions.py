@@ -92,6 +92,10 @@ class TestMakeJoint:
         with pytest.raises(ValidationError, match=f"expected an iterable of {item}, got "):
             build(raw)
 
+    def test_bools_read_as_zero_and_one(self):
+        assert make_joint([(True, False, True)]).atoms == ((1.0, 0.0, 1.0),)
+        assert make_joint(np.array([[True, False, True]])).atoms == ((1.0, 0.0, 1.0),)
+
 
 class TestMarginals:
     def test_example_marginals(self):
@@ -284,10 +288,20 @@ class TestPairedSample:
         x[0] = y[0] = 9.0
         assert s.pairs() == [(1.0, 3.0), (2.0, 4.0)]
 
-    @pytest.mark.parametrize("x, y", [(["a"], [1.0]), ([1.0], [object()]), ([10**400], [1.0])])
+    @pytest.mark.parametrize(
+        "x, y",
+        [(["a"], [1.0]), ([1.0], [object()]), ([10**400], [1.0]), (["1", "2"], [3, 4]), ([1, 2], [3, b"4"])],
+    )
     def test_non_numeric_coordinates_rejected(self, x, y):
         with pytest.raises(ValidationError, match="sample coordinates must be numbers"):
             PairedSample(x, y)
+
+    def test_text_is_named_and_bools_read_as_zero_and_one(self):
+        with pytest.raises(ValidationError, match="must be numbers, got 'a'"):
+            PairedSample([1, "a"], [3, 4])
+        with pytest.raises(ValidationError, match=r"tuples of numbers, got 'a'"):
+            PairedSample.from_pairs([(1, 2), (3, "a")])
+        assert PairedSample([True, False], [1, 2]).pairs() == [(1.0, 1.0), (0.0, 2.0)]
 
 
 class TestGrouped:
@@ -351,7 +365,11 @@ class TestGridDensityPair:
 
     @pytest.mark.parametrize(
         "grid, fx, fy",
-        [(["a", "b", "c"], [1, 1, 1], [1, 1, 1]), ([0, 1, 2], [1, object(), 1], [1, 1, 1])],
+        [
+            (["a", "b", "c"], [1, 1, 1], [1, 1, 1]),
+            ([0, 1, 2], [1, object(), 1], [1, 1, 1]),
+            ([0, 1, 2], ["1", "1", "1"], [1, 1, 1]),
+        ],
     )
     def test_non_numeric_values_rejected(self, grid, fx, fy):
         for build in (GridDensityPair, GridDensityPair.from_arrays):

@@ -92,6 +92,9 @@ def _large_raw(n: int = 160_000) -> list:
         ((1.0, 2.0, "heavy"), r"atom 150000: expected an \(x, y, p\) triple"),
         ((1.0, 2.0, -0.5), r"atom 150000: invalid mass -0\.5"),
         ((1.0, float("nan"), 0.5), r"atom 150000: non-finite support value"),
+        ((" 1e0 ", 2, True), r"atom 150000: expected an \(x, y, p\) triple, got \(' 1e0 ', 2, True\)"),
+        ((b"1", 2, 1), r"atom 150000: expected an \(x, y, p\) triple, got \(b'1', 2, 1\)"),
+        ("123", r"atom 150000: expected an \(x, y, p\) triple, got '123'"),
     ],
 )
 def test_bad_atom_deep_in_large_input_is_named(bad, message):
@@ -139,6 +142,7 @@ class TestPublicConstructor:
             ([(1, 2)], r"atom 0: expected an \(x, y, p\) triple, got \(1, 2\)"),
             ([(0, 0, 0.5), (1, 1, float("nan"))], r"atom 1: invalid mass nan at \(1\.0, 1\.0\)"),
             ([(0, 0, 0.5), (1, 1, -0.5)], r"atom 1: invalid mass -0\.5 at \(1\.0, 1\.0\)"),
+            ([(0, 0, 0.5), (0, 1, "0.5")], r"atom 1: expected an \(x, y, p\) triple, got \(0, 1, '0\.5'\)"),
         ],
     )
     def test_reports_the_first_bad_atom(self, atoms, message):
@@ -155,6 +159,7 @@ class TestPublicConstructor:
             ([(0, 1.0), (2, 0.0)], r"point 1: mass 0\.0 at \(2\.0\) must be positive"),
             ([(0, 0.5), (1, 0.25), (-0.0, 0.25)], r"point 2: duplicate point at \(-0\.0\)"),
             ([(0, 0.5), (1, 0.25)], "marginal: masses sum to 0.75, not 1"),
+            (np.array([["1", "1"]]), r"point 0: expected a \(value, p\) pair"),
         ],
     )
     def test_reports_the_first_bad_point(self, points, message):

@@ -6,6 +6,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from stochorder import (
 )
 from stochorder import estimators
 from stochorder.estimators import band_triangle_densities
-from stochorder.scenarios import example4_spec
+from stochorder.scenarios import (
+    example1,
+    example2,
+    example4_spec,
+    intransitive_demo,
+    transform_counterexample,
+)
 
 from conftest import oracle_example4_terms
 
@@ -381,6 +388,49 @@ class TestEstimateOrders:
         assert swapped.quantities["mean_diff"].point == -report.quantities["mean_diff"].point
 
 
+#: Joints whose few distinct differences take the multinomial path; example4 takes the bag.
+REFERENCE_JOINTS = {
+    "example1": example1().joint,
+    "example2": example2().joint,
+    "transform": transform_counterexample().joint,
+    **{f"dice-{pair.first}{pair.second}": pair.joint for pair in intransitive_demo().pairs},
+}
+
+
+class TestNormalReference:
+    """Every row of QUANTITIES is the mean of a per-pair transform of D = Y - X,
+    so point +- z sd / sqrt(n) is a reference for both ends of its interval
+    that takes no random draws."""
+
+    @pytest.mark.parametrize("name", [*REFERENCE_JOINTS, "example4-0.3", "example4-0.7"])
+    def test_interval_ends_follow_the_normal_reference(self, name):
+        # each end, averaged over 20 bootstrap streams at B = 200, lies within
+        # 0.125 normal half-widths of its reference.  Over 40 sample seeds the
+        # worst end read 0.092 on the multinomial path and 0.084 on the bag.
+        # Had the bag taken the mean over subsets of each subset's percentiles
+        # of its 20 resamples, its ends would sit 0.166-0.211 half-widths
+        # inside: too narrow, and caught here
+        if name in REFERENCE_JOINTS:
+            sample = sample_joint(REFERENCE_JOINTS[name], 2000, SeededStream(1))
+        else:
+            sample = sample_example4(float(name[9:]), 2000, SeededStream(5))
+        method = "bootstrap-percentile" if name in REFERENCE_JOINTS else "blb-percentile"
+        d = sample.y - sample.x
+        up, down = np.maximum(d, 0.0), np.maximum(-d, 0.0)  # the rows below follow QUANTITIES
+        terms = np.array([d > 0.0, d < 0.0, up, down, up / (1.0 + up), down / (1.0 + down), d], dtype=float)
+        assert len(terms) == len(estimators.QUANTITIES)
+        point = terms.mean(axis=1)
+        half = NormalDist().inv_cdf(0.975) * terms.std(axis=1) / math.sqrt(sample.n)
+        ends = np.zeros((2, len(point)))
+        for seed in range(20):
+            report = estimate_orders(sample, bootstrap=200, stream=SeededStream(seed))
+            assert report.method == method
+            ests = [report.quantities[q] for q in estimators.QUANTITIES]
+            ends += [[est.ci_low for est in ests], [est.ci_high for est in ests]]
+        deviation = np.abs(ends / 20 - [point - half, point + half]) / half
+        assert deviation.max() <= 0.125, dict(zip(estimators.QUANTITIES, deviation.max(axis=0).round(3)))
+
+
 class TestUniformCounts:
     """The bag's counts are exactly multinomial(n, 1/b): Poisson cells topped up to n."""
 
@@ -509,6 +559,19 @@ class TestSampleExample4:
             fx = float(np.mean(s.x <= t))
             fy = float(np.mean(s.y <= t))
             assert fx >= fy - 0.005
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.9])
+    def test_empirical_cdfs_match_the_oracle(self, eps):
+        # Dvoretzky-Kiefer-Wolfowitz with Massart's constant: an empirical cdf
+        # strays further than sqrt(ln(2 / 1e-6) / (2 n)) from the true one with
+        # probability at most 1e-6.  The oracle reads Y's cdf as 1 - F_X(1 - t),
+        # so this checks that the sampler's Y has the law of 1 - X
+        n, ts = 200_000, np.linspace(0.05, 0.95, 19)
+        s, scn = sample_example4(eps, n, SeededStream(37)), example4_spec(eps)
+        bound = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        for values, oracle in ((s.x, scn.oracle_cdf_x), (s.y, scn.oracle_cdf_y)):
+            empirical = np.searchsorted(np.sort(values), ts, side="right") / n
+            assert np.abs(empirical - oracle(ts)).max() <= bound
 
     def test_band_points_satisfy_band_inequalities(self):
         eps = 0.25

@@ -398,7 +398,10 @@ JOINT_CASES = {
     "atom-in-a-list": (_atoms("[{%s}]" % _A.replace("0.25", "1")), "atom 0: expected an object with x, y and p"),
     "duplicate-key": (_atoms('{"x": 7, %s}' % _A, "{%s}" % _B), _AB),
     "duplicate-atoms": ('{"atoms": [{"x": 7, "y": 7, "p": 1}], "atoms": [{%s}, {%s}]}' % (_A, _B), _AB),
-    "string-number": (_atoms('{"x": "1", "y": 2, "p": 0.25}', "{%s}" % _B), _AB),
+    "string-number": (
+        _atoms('{"x": "1", "y": 2, "p": 0.25}', "{%s}" % _B),
+        "atom 0: expected an (x, y, p) triple, got ('1', 2, 0.25)",
+    ),
     "true-mass": (_atoms('{"x": 1, "y": 2, "p": true}'), [(1, 2, 1)]),
     "null": (_atoms('{"x": null, "y": 2, "p": 1}'), "atom 0: expected an (x, y, p) triple"),
     "2**53+1": (_atoms('{"x": %d, "y": 2, "p": 1}' % (2**53 + 1)), [(2.0**53, 2, 1)]),

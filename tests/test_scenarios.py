@@ -70,8 +70,8 @@ class TestTransformCounterexample:
 class TestBandTriangleOracle:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9])
     def test_oracle_p_equals_eps(self, eps):
-        # two independent derivations of P(X <= Y): polygon clipping vs the
-        # closed-form region mass (density 2/eps on a triangle of area eps^2/2)
+        # the oracle's triangle mass, b * eps^2 / 2 with b from the sampler's
+        # densities, against the stated value: density 2/eps on area eps^2/2
         assert example4_spec(eps).oracle_p_x_leq_y() == pytest.approx(eps, abs=1e-12)
 
     @pytest.mark.parametrize("eps", [0.1, 0.5])
@@ -86,8 +86,8 @@ class TestBandTriangleOracle:
 
     @pytest.mark.parametrize("eps", [0.1, 0.5])
     def test_cdf_routes_agree(self, eps):
-        # clipping-based cdfs vs trapezoid integration of the interval-length
-        # marginal densities: two independent computations
+        # closed-form cdfs, integrated over the two regions, vs trapezoid
+        # integration of the interval-length marginal densities
         scn = example4_spec(eps)
         ts = np.linspace(0.01, 0.99, 25)
         grid = np.linspace(1e-6, 1.0 - 1e-6, 4001)
