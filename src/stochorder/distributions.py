@@ -21,6 +21,10 @@ and coordinates.  The builders ``make_joint``/``make_marginal`` then merge
 duplicates, drop zero masses and rescale; the public constructors instead
 demand positive masses, unique keys and a total within 1e-12 of 1.
 
+One rule, in ``_floats`` and ``_float`` (one value), says what a number is
+for every constructor and ``FiniteMarginal.cdf``: what ``float()`` reads,
+bools as 0 and 1, but no str, bytes, complex value, None or array past 0-d.
+
 Mass bookkeeping uses ``math.fsum`` throughout, so the total-mass invariant
 (sum = 1 within 1e-12) holds at any support size.  Building a law is one
 grouped reduction: a stable sort, group boundaries found with ``!=`` one
@@ -58,17 +62,32 @@ MAX_PRODUCT_ATOMS = 10_000_000
 _ATOM = (3, "atom", "an (x, y, p) triple", "support value")
 _POINT = (2, "point", "a (value, p) pair", "value")
 
+#: What ``float()`` reads but the number rule rejects (``np.complex64`` is no ``complex``).
+_NOT_NUMBERS = (str, bytes, bytearray, memoryview, complex, np.complexfloating, type(None), np.ndarray)
+
+
+def _float(value) -> float:
+    """One value as a float by the number rule; a ValidationError names a value of a rejected type."""
+    if isinstance(value, (float, int)):  # the common case, bools included, at one look
+        return float(value)
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, _NOT_NUMBERS):
+        raise ValidationError(f"got {value!r}")
+    return float(value)
+
 
 def _floats(value, message: str) -> np.ndarray:
-    """``value`` as a new float array, or ValidationError(message) if not numbers (str or bytes named)."""
-    try:  # a numeric ndarray costs one look at its dtype
-        array = np.asarray(value)
-        objects = np.asarray(value, dtype=object).flat if array.dtype.kind in "OSU" else ()
-        if not (text := [v for v in objects if isinstance(v, (str, bytes))]):
-            return np.array(array if array.dtype.kind in "biuf" else value, dtype=float)
+    """``value`` as a float ndarray, uncopied if it is one, or ValidationError(message)."""
+    try:  # a numeric ndarray costs one look at its dtype; all else is read value by value
+        if (array := np.asarray(value)).dtype.kind in "biuf":
+            return array.astype(float, copy=False)
+        items = np.asarray(value, dtype=object)  # the caller's values, not numpy's text or complex
+        return np.fromiter(map(_float, items.flat), float, items.size).reshape(items.shape)
+    except ValidationError as exc:  # from _float, naming the first value that is no number
+        raise ValidationError(f"{message}, {exc}") from None
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(message) from None
-    raise ValidationError(f"{message}, got {text[0]!r}")
 
 
 def _fsum(column: np.ndarray) -> float:
@@ -116,32 +135,24 @@ def _at(row) -> str:
 
 
 def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.ndarray:
-    """Raw (coordinates..., mass) rows as an (n, width) array, checked.
-
-    Values are numbers, never str or bytes; coordinates finite, masses
-    finite and >= 0.  The conversion and the checks run vectorized; only
-    when they fail does the row-by-row loop run, to name the first bad row.
-    """
-    try:
+    """Raw (coordinates..., mass) rows as an (n, width) array of numbers, checked: coordinates
+    finite, masses finite and >= 0.  The conversion and the checks run vectorized; only when
+    they fail does the row-by-row loop run, to name the first bad row."""
+    try:  # a 0-d ndarray is no iterable either
         iter(raw)
+        raw = raw if isinstance(raw, (list, tuple, np.ndarray)) else list(raw)
     except TypeError:
         raise ValidationError(f"expected an iterable of {item}s, got {raw!r}") from None
-    if not isinstance(raw, (list, tuple, np.ndarray)):
-        raw = list(raw)
-    try:  # str and bytes, which float() reads, go to the loop, which names their row
-        rows = np.asarray(raw)
-        kind = rows.dtype.kind
-        text = kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in rows.flat)
-        rows = rows.astype(float, copy=False) if kind in "biuf" else np.asarray([] if text else raw, float)
-    except (TypeError, ValueError, OverflowError):
+    try:  # what is no number goes to the loop, which names its row
+        rows = _floats(raw, item)
+    except ValidationError:
         rows = np.empty(0)
     if rows.shape[1:] == (width,) and np.isfinite(rows).all() and (rows[:, -1] >= 0.0).all():
         return rows
     cleaned = []
     for i, row in enumerate(raw):
-        try:  # float() reads str and bytes too, but they are not numbers here
-            values = (row,) if isinstance(row, (str, bytes)) else tuple(row)
-            values = () if any(isinstance(v, (str, bytes)) for v in values) else tuple(map(float, values))
+        try:  # bytes iterate as ints, but they are no row of numbers
+            values = () if isinstance(row, (bytes, bytearray, memoryview)) else tuple(map(_float, row))
         except (TypeError, ValueError, OverflowError):
             values = ()
         if len(values) != width:
@@ -156,10 +167,8 @@ def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.nd
 
 def _strict_columns(raw, row_format: tuple, what: str) -> list[np.ndarray]:
     """The columns of a finite law from rows that need no merging: sorted keys, then masses.
-
-    Beyond the checks of ``_checked_rows``, masses must be positive, keys
-    unique and the total within MASS_TOL of 1.
-    """
+    Beyond the checks of ``_checked_rows``, masses must be positive, keys unique and the
+    total within MASS_TOL of 1."""
     rows = _checked_rows(raw, *row_format)
     item = row_format[1]
     if not rows.size:
@@ -235,7 +244,7 @@ class FiniteMarginal(_FiniteLaw):
     def cdf(self, t):
         """Right-continuous cdf at scalar or array ``t``."""
         cum = np.cumsum(self.p)
-        arr = np.asarray(t, dtype=float)
+        arr = _floats(t, "cdf points must be numbers")
         idx = np.searchsorted(self.v, arr, side="right")
         out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
         return float(out) if arr.ndim == 0 else out
@@ -295,11 +304,11 @@ def make_joint(
     Duplicate (x, y) pairs are merged and zero-mass atoms are dropped.  A
     total within 1e-12 of 1 is kept bit-exact; any other total is rescaled
     to 1, within that same 1e-12.  A raw total further than 1e-9 from 1 is
-    rejected unless ``normalize=True``.  Bools read as 0 and 1.
+    rejected unless ``normalize=True``.
 
     Raises:
-        ValidationError: on a negative, non-finite or malformed atom, str
-            and bytes included (the message names it by index and coordinates).
+        ValidationError: on a negative, non-finite or malformed atom, or a value that is no
+            number by the module docstring's rule (named by index and coordinates).
         EmptyDistribution: if no atom has positive mass.
         NotNormalizable: if the raw total is off by more than 1e-9 and
             normalization was not requested.
@@ -337,19 +346,16 @@ def product_joint(
 
 
 def _transform_value(phi, t: float) -> float:
-    if isinstance(phi, Mapping):
-        if t not in phi:
-            raise UndefinedAtSupport(f"transform table has no entry for support point {t!r}")
-        out = phi[t]
-    else:
-        try:
-            out = phi(t)
-        except Exception as exc:
-            raise UndefinedAtSupport(f"transform failed at support point {t!r}") from exc
+    if isinstance(phi, Mapping) and t not in phi:
+        raise UndefinedAtSupport(f"transform table has no entry for support point {t!r}")
     try:
-        out = float(out)
+        out = phi[t] if isinstance(phi, Mapping) else phi(t)
+    except Exception as exc:
+        raise UndefinedAtSupport(f"transform failed at support point {t!r}") from exc
+    try:  # the cause, not repr(out), which fails on an int past Python's digit limit
+        out = _float(out)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise UndefinedAtSupport(f"transform value at support point {t!r} is not a number") from exc
+        raise UndefinedAtSupport(f"transform value at support point {t!r} is not a number ({exc})") from exc
     if not math.isfinite(out):
         raise UndefinedAtSupport(f"transform is not finite at support point {t!r}")
     return out
@@ -362,8 +368,8 @@ def apply_transform(
     """Push a joint through a map applied to both coordinates.
 
     ``phi`` is either a finite value table or a callable defined on every
-    support value of both coordinates.  Atoms that collide after mapping
-    are merged.
+    support value of both coordinates; its values are numbers by the rule
+    of the module docstring.  Atoms that collide after mapping are merged.
     """
     support = {v for pair in zip(j.x.tolist(), j.y.tolist()) for v in pair}
     table = {t: _transform_value(phi, t) for t in support}
@@ -387,13 +393,13 @@ def expectation(m: FiniteMarginal) -> float:
 
 @dataclass(frozen=True)
 class PairedSample:
-    """Observed (x, y) pairs as two aligned float arrays; bools read as 0 and 1, str and bytes fail."""
+    """Observed (x, y) pairs as two aligned float arrays, copied; numbers by the module docstring's rule."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x, y = (_floats(v, "sample coordinates must be numbers") for v in (self.x, self.y))
+        x, y = (np.array(_floats(v, "sample coordinates must be numbers")) for v in (self.x, self.y))
         if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
             raise ValidationError("sample coordinates must be 1-D arrays of equal length")
         if x.size < 1:
@@ -411,13 +417,10 @@ class PairedSample:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "PairedSample":
-        rows = list(pairs)
-        if not rows:
-            raise ValidationError("sample must contain at least one pair")
         message = "pairs must be (x, y) tuples of numbers"
-        arr = _floats(rows, message)
+        arr = _floats(list(pairs), message)
         if arr.shape[1:] != (2,):
-            raise ValidationError(message)
+            raise ValidationError(message if len(arr) else "sample must contain at least one pair")
         return cls(arr[:, 0], arr[:, 1])
 
     @property
@@ -462,16 +465,14 @@ def _integral(name: str, f: np.ndarray, grid: np.ndarray) -> float:
 
 def _grid_arrays(grid, fx, fy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid and densities as new finite float arrays of one 1-D shape: >= 3 nodes, increasing."""
-    grid, fx, fy = (_floats(a, "grid and densities must be numbers") for a in (grid, fx, fy))
+    grid, fx, fy = (np.array(_floats(a, "grid and densities must be numbers")) for a in (grid, fx, fy))
     if grid.ndim != 1 or grid.size < 3:
         raise ValidationError("grid must be 1-D with at least 3 nodes")
     if fx.shape != grid.shape or fy.shape != grid.shape:
         raise ValidationError("densities must match the grid shape")
-    if not np.isfinite(grid).all():
-        raise ValidationError("grid contains non-finite abscissae")
-    for name, f in (("fx", fx), ("fy", fy)):
-        if not np.isfinite(f).all():
-            raise ValidationError(f"{name} contains non-finite values")
+    for name, a, what in (("grid", grid, "abscissae"), ("fx", fx, "values"), ("fy", fy, "values")):
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{name} contains non-finite {what}")
     if np.any(grid[1:] <= grid[:-1]):  # not np.diff, which can overflow
         raise ValidationError("grid abscissae must be strictly increasing")
     return grid, fx, fy
@@ -510,16 +511,14 @@ class GridDensityPair:
             zx, zy = _integral("fx", fx, grid), _integral("fy", fy, grid)
             if zx <= 0.0 or zy <= 0.0:
                 raise ValidationError("cannot normalize a density with nonpositive integral")
-            fx = fx / zx
-            fy = fy / zy
+            fx, fy = fx / zx, fy / zy
         return cls(grid, fx, fy)
 
     @classmethod
     def from_functions(cls, grid, fx_fn, fy_fn, normalize: bool = True) -> "GridDensityPair":
         """Tabulate two density callables on a grid (normalized by default)."""
         grid = _floats(grid, "grid and densities must be numbers")
-        fx = [fx_fn(t) for t in grid.ravel()]  # a 0-d grid is rejected by shape, not by iteration
-        fy = [fy_fn(t) for t in grid.ravel()]
+        fx, fy = ([fn(t) for t in grid.ravel()] for fn in (fx_fn, fy_fn))  # a 0-d grid fails by shape
         return cls.from_arrays(grid, fx, fy, normalize=normalize)
 
     def __len__(self) -> int:

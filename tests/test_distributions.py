@@ -1,6 +1,8 @@
 """Construction, validation and elementary functionals of the substrates."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +98,16 @@ class TestMakeJoint:
         assert make_joint([(True, False, True)]).atoms == ((1.0, 0.0, 1.0),)
         assert make_joint(np.array([[True, False, True]])).atoms == ((1.0, 0.0, 1.0),)
 
+    def test_what_float_reads_is_a_number(self):
+        rows = [(Decimal("0.5"), Fraction(1, 3), Fraction(1, 2)), (2**70, -1, Decimal("0.5"))]
+        want = ((0.5, 1 / 3, 0.5), (2.0**70, -1.0, 0.5))
+        assert make_joint(rows).atoms == want and FiniteJointDistribution(rows).atoms == want
+        assert PairedSample([Decimal("0.5"), 2**70], [Fraction(1, 3), 1]).pairs() == [(0.5, 1 / 3), (2.0**70, 1.0)]
+
+    def test_rows_may_be_any_iterables(self):
+        # the rows are read once each, by the loop that would name a bad one
+        assert make_joint([(v for v in row) for row in EX1_ATOMS]) == make_joint(EX1_ATOMS)
+
 
 class TestMarginals:
     def test_example_marginals(self):
@@ -114,6 +126,13 @@ class TestMarginals:
             assert marginal_y(j).values == my.values
             assert marginal_x(j).masses == pytest.approx(mx.masses, rel=1e-12)
             assert marginal_y(j).masses == pytest.approx(my.masses, rel=1e-12)
+
+    def test_cdf_reads_points_by_the_number_rule(self):
+        m = make_marginal([(0, 0.5), (1, 0.5)])
+        assert m.cdf(True) == 1.0 and m.cdf(np.array([-1, 0.5])).tolist() == [0.0, 0.5]
+        for t in (None, "0.5", 1j, [0.5, None]):
+            with pytest.raises(ValidationError, match="cdf points must be numbers, got"):
+                m.cdf(t)
 
     def test_marginal_masses_sum_to_one(self, rng):
         for _ in range(25):
@@ -163,6 +182,11 @@ class TestApplyTransform:
         phi = {0.0: 0.0, 999.0: 1.0, 1000.0: 1000.0}
         assert apply_transform(j, phi).atoms == ((0.0, 1.0, 0.4), (1000.0, 1.0, 0.6))
 
+    def test_values_that_float_reads_are_numbers(self):
+        j = make_joint(EX1_ATOMS)
+        phi = {0.0: np.array(0.0), 999.0: Fraction(1, 2), 1000.0: True}
+        assert apply_transform(j, phi).atoms == ((0.0, 0.5, 0.4), (1.0, 0.5, 0.6))
+
     def test_identity_is_identity(self, rng):
         for _ in range(20):
             j = random_joint(rng)
@@ -199,8 +223,17 @@ class TestApplyTransform:
 
     @pytest.mark.parametrize(
         "phi",
-        [lambda t: "x", lambda t: [t, t], {0.0: 0.0, 999.0: "a", 1000.0: 1.0}],
-        ids=["string", "list", "table-string"],
+        [
+            lambda t: "x",
+            lambda t: [t, t],
+            {0.0: 0.0, 999.0: "a", 1000.0: 1.0},
+            {0.0: "1", 999.0: "2", 1000.0: "3"},
+            lambda t: b"3",
+            lambda t: [1.5],
+            lambda t: np.array([1.5]),
+            lambda t: np.array(t + 1j),
+        ],
+        ids=["string", "list", "table-string", "table-numeric-string", "bytes", "list-of-one", "array", "0-d-complex"],
     )
     def test_value_that_is_not_a_number(self, phi):
         j = make_joint(EX1_ATOMS)
@@ -290,7 +323,15 @@ class TestPairedSample:
 
     @pytest.mark.parametrize(
         "x, y",
-        [(["a"], [1.0]), ([1.0], [object()]), ([10**400], [1.0]), (["1", "2"], [3, 4]), ([1, 2], [3, b"4"])],
+        [
+            (["a"], [1.0]),
+            ([1.0], [object()]),
+            ([10**400], [1.0]),
+            (["1", "2"], [3, 4]),
+            ([1, 2], [3, b"4"]),
+            (np.array([1 + 2j, 3]), np.array([1.0, 2.0])),
+            ([None, 1.0], [1.0, 2.0]),
+        ],
     )
     def test_non_numeric_coordinates_rejected(self, x, y):
         with pytest.raises(ValidationError, match="sample coordinates must be numbers"):
@@ -369,6 +410,8 @@ class TestGridDensityPair:
             (["a", "b", "c"], [1, 1, 1], [1, 1, 1]),
             ([0, 1, 2], [1, object(), 1], [1, 1, 1]),
             ([0, 1, 2], ["1", "1", "1"], [1, 1, 1]),
+            ([0, 1, 2], [1, None, 1], [1, 1, 1]),
+            ([0, 1, 2], [1, 1, 1], np.array([1, 1j, 1])),
         ],
     )
     def test_non_numeric_values_rejected(self, grid, fx, fy):
@@ -429,3 +472,22 @@ class TestGridDensityPair:
         g = GridDensityPair(grid, np.ones(11), np.ones(11))
         with pytest.raises(ValueError):
             g.fx[0] = 2.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: make_joint(np.array([[1, 2, 1]], dtype=complex)), r"atom 0: .*, got array\(\[1\.\+0\.j"),
+        (lambda: PairedSample(np.array([1 + 2j, 3]), np.array([1.0, 2.0])), r"numbers, got \(1\+2j\)"),
+        (lambda: PairedSample([None, 1.0], [1.0, 2.0]), "sample coordinates must be numbers, got None"),
+        (lambda: GridDensityPair.from_arrays([0, 1, 2], [1, None, 1], [1, 1, 1]), "densities must be numbers, got None"),
+        (lambda: apply_transform(make_joint([(0, 1, 1)]), {0.0: "1", 1.0: "2"}), r"not a number \(got '[12]'\)"),
+        (lambda: apply_transform(make_joint([(0, 1, 1)]), lambda t: b"3"), r"not a number \(got b'3'\)"),
+    ],
+    ids=["complex-atoms", "complex-sample", "none-in-sample", "none-in-density", "text-table", "bytes-callable"],
+)
+def test_the_value_that_is_no_number_is_named(build, named):
+    # str, bytes, complex values and None are no numbers, though float() or numpy reads some of them
+    with pytest.raises((ValidationError, UndefinedAtSupport), match=named):
+        build()

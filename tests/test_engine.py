@@ -143,6 +143,7 @@ class TestPublicConstructor:
             ([(0, 0, 0.5), (1, 1, float("nan"))], r"atom 1: invalid mass nan at \(1\.0, 1\.0\)"),
             ([(0, 0, 0.5), (1, 1, -0.5)], r"atom 1: invalid mass -0\.5 at \(1\.0, 1\.0\)"),
             ([(0, 0, 0.5), (0, 1, "0.5")], r"atom 1: expected an \(x, y, p\) triple, got \(0, 1, '0\.5'\)"),
+            (np.array([[0, 0, 0.5], [1, 2j, 0.5]]), r"atom 0: expected an \(x, y, p\) triple, got array"),
         ],
     )
     def test_reports_the_first_bad_atom(self, atoms, message):
