@@ -40,13 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EmptyDistribution,
-    NotNormalizable,
-    SupportTooLarge,
-    UndefinedAtSupport,
-    ValidationError,
-)
+from .errors import EmptyDistribution, NotNormalizable, SupportTooLarge, UndefinedAtSupport, ValidationError
 
 #: Total-mass invariant maintained internally.
 MASS_TOL = 1e-12
@@ -66,6 +60,14 @@ _POINT = (2, "point", "a (value, p) pair", "value")
 _NOT_NUMBERS = (str, bytes, bytearray, memoryview, complex, np.complexfloating, type(None), np.ndarray)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or its type and size where repr raises (on an int past Python's digit limit)."""
+    try:
+        return repr(value)
+    except Exception:  # a caller's repr may raise anything; the report must still name the value
+        return f"<{type(value).__name__} of {value.__sizeof__()} bytes>"
+
+
 def _float(value) -> float:
     """One value as a float by the number rule; a ValidationError names a value of a rejected type."""
     if isinstance(value, (float, int)):  # the common case, bools included, at one look
@@ -73,7 +75,7 @@ def _float(value) -> float:
     if isinstance(value, np.ndarray) and value.ndim == 0:
         value = value[()]
     if isinstance(value, _NOT_NUMBERS):
-        raise ValidationError(f"got {value!r}")
+        raise ValidationError(f"got {_shown(value)}")
     return float(value)
 
 
@@ -142,7 +144,7 @@ def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.nd
         iter(raw)
         raw = raw if isinstance(raw, (list, tuple, np.ndarray)) else list(raw)
     except TypeError:
-        raise ValidationError(f"expected an iterable of {item}s, got {raw!r}") from None
+        raise ValidationError(f"expected an iterable of {item}s, got {_shown(raw)}") from None
     try:  # what is no number goes to the loop, which names its row
         rows = _floats(raw, item)
     except ValidationError:
@@ -156,7 +158,7 @@ def _checked_rows(raw, width: int, item: str, shape: str, support: str) -> np.nd
         except (TypeError, ValueError, OverflowError):
             values = ()
         if len(values) != width:
-            raise ValidationError(f"{item} {i}: expected {shape}, got {row!r}")
+            raise ValidationError(f"{item} {i}: expected {shape}, got {_shown(row)}")
         if not all(map(math.isfinite, values[:-1])):
             raise ValidationError(f"{item} {i}: non-finite {support} at {_at(values)}")
         if not math.isfinite(values[-1]) or values[-1] < 0.0:
@@ -296,8 +298,7 @@ def _merged(raw, row_format: tuple, normalize: bool) -> list[np.ndarray]:
 
 
 def make_joint(
-    raw_atoms: Iterable[tuple[float, float, float]],
-    normalize: bool = False,
+    raw_atoms: Iterable[tuple[float, float, float]], normalize: bool = False
 ) -> FiniteJointDistribution:
     """Build a joint distribution from raw (x, y, mass) triples.
 
@@ -332,9 +333,7 @@ def marginal_y(j: FiniteJointDistribution) -> FiniteMarginal:
 
 
 def product_joint(
-    mx: FiniteMarginal,
-    my: FiniteMarginal,
-    max_atoms: int = MAX_PRODUCT_ATOMS,
+    mx: FiniteMarginal, my: FiniteMarginal, max_atoms: int = MAX_PRODUCT_ATOMS
 ) -> FiniteJointDistribution:
     """Independent coupling of two marginals: atoms (x, y, px * py), through
     ``make_joint``, which drops masses that underflow and rescales the total."""
@@ -362,8 +361,7 @@ def _transform_value(phi, t: float) -> float:
 
 
 def apply_transform(
-    j: FiniteJointDistribution,
-    phi: Mapping[float, float] | Callable[[float], float],
+    j: FiniteJointDistribution, phi: Mapping[float, float] | Callable[[float], float]
 ) -> FiniteJointDistribution:
     """Push a joint through a map applied to both coordinates.
 

@@ -1,18 +1,14 @@
 """Sampling and plug-in statistical estimation of the precedence orders.
 
 The plug-in estimate reads the count-weighted table of the empirical law of
-D = Y - X: the distinct differences of the sample, each weighted by its
-count (or, when there are many, each pair at count 1), go through the
-per-difference table of :mod:`~stochorder.precedence`, and each point is a
-row's fsum over n.  Intervals are seeded percentile intervals (Efron &
-Tibshirani 1993): the points plus one percentile of the pooled replicates of
-a table's subsets, each weighed at unit weight by multinomial counts and
-centred on its subset's point.  Up to 256 distinct differences the one
-subset is those differences, with B resamples ("bootstrap-percentile");
-above that, a bag of little bootstraps (Kleiner, Talwalkar, Sarkar & Jordan,
-JRSS-B 76(4), 2014; "blb-percentile") weighs 10 subsets of rows by
-10 * ceil(B / 10) resamples, reported as B.  All randomness flows
-through :class:`SeededStream`; there is no hidden entropy in this module.
+D = Y - X through :mod:`~stochorder.precedence`.  Intervals are seeded
+percentile intervals (Efron & Tibshirani 1993) of B resamples, from the
+multinomial bootstrap ("bootstrap-percentile") or, above 256 distinct
+differences, a bag of little bootstraps (Kleiner, Talwalkar, Sarkar & Jordan,
+JRSS-B 76(4), 2014; "blb-percentile"), as ``_estimates`` describes.  Draws
+from a finite joint and the bag's Poisson cells invert a cdf through one
+guide table, ``_invert``.  All randomness flows through
+:class:`SeededStream`; there is no hidden entropy in this module.
 """
 
 from __future__ import annotations
@@ -100,8 +96,37 @@ def sample_joint(j: FiniteJointDistribution, n: int, stream: SeededStream) -> Pa
     n = _integer(n, "sample size must be a positive integer", 1, MAX_SAMPLE_SIZE)
     cum = np.cumsum(j.p)
     cum[-1] = 1.0  # guard against rounding in the final cumulative mass
-    idx = np.searchsorted(cum, stream.rng().random(n), side="right")  # the draws are freed here
+    idx = _invert(cum, stream.rng().random(n))  # the draws are freed here
     return PairedSample._from_columns(j.x[idx], j.y[idx])
+
+
+def _invert(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for 1-d uniforms u in [0, 1), by a guide table
+    (Chen & Asau 1974; Devroye 1986, III.2.4).  The top 10 bits of u pick one of 1024 equal cells
+    of [0, 1); a cell that no cdf value splits gives its index, and only draws in split cells are
+    searched.  2**14 draws are inverted at a time, so that no temporary grows with u."""
+    edges = np.arange(1025) / 1024.0
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    guide = np.where(first == np.searchsorted(cdf, edges[1:], side="left"), first, -1)
+    out = np.empty(u.size, np.intp)  # an int32 index would cost a gather an intp copy of it
+    for i in range(0, u.size, 2**14):
+        v, o = u[i : i + 2**14], out[i : i + 2**14]
+        np.take(guide, (v * 1024.0).astype(np.intp), out=o)
+        split = np.flatnonzero(o < 0)
+        o[split] = np.searchsorted(cdf, v[split], side="right")
+    return out
+
+
+def _poisson(rng: np.random.Generator, lam: float, size: tuple) -> np.ndarray:
+    """Poisson(lam) draws: uniforms inverted at the cdf over lam -+ (12 sqrt(lam) + 30), whose
+    left-out tail is below 1e-30 and whose pmf goes through lgamma, as numpy's own sampler does."""
+    if lam == 0.0:
+        return np.zeros(size, np.intp)
+    low, high = (max(int(lam + side * (12.0 * math.sqrt(lam) + 30.0)), 0) for side in (-1, 1))
+    k = np.arange(low, high + 1)
+    cdf = np.cumsum(np.exp(k * math.log(lam) - lam - np.array([math.lgamma(i + 1.0) for i in k.tolist()])))
+    cdf[-1] = 1.0
+    return low + _invert(cdf, rng.random(math.prod(size))).reshape(size)
 
 
 def _with_mean_diff(stats: np.ndarray) -> np.ndarray:
@@ -114,12 +139,12 @@ def _with_mean_diff(stats: np.ndarray) -> np.ndarray:
 def _uniform_counts(rng: np.random.Generator, n: int, b: int, r: int) -> np.ndarray:
     """r rows of multinomial(n, 1/b) counts over b cells, as floats.
 
-    Given their total s, b i.i.d. Poisson(lam) cells are multinomial(s, 1/b),
-    so n - s uniform cell draws top them up to multinomial(n, 1/b).  With
-    lam = max(n - 4 sqrt(n), 0) / b a row passes n with probability about
-    3e-5; such a row is drawn again as multinomial(n, 1/b).
+    Given their total s, b i.i.d. Poisson(lam) cells (``_poisson``) are
+    multinomial(s, 1/b), so n - s uniform cell draws top them up to
+    multinomial(n, 1/b).  With lam = max(n - 4 sqrt(n), 0) / b a row passes n
+    with probability about 3e-5; such a row is drawn again as multinomial(n, 1/b).
     """
-    counts = rng.poisson(max(n - 4.0 * math.sqrt(n), 0.0) / b, (r, b))
+    counts = _poisson(rng, max(n - 4.0 * math.sqrt(n), 0.0) / b, (r, b))
     over = counts.sum(axis=1) > n
     counts[over] = rng.multinomial(n, np.full(b, 1.0 / b), size=int(over.sum()))
     short = n - counts.sum(axis=1)
@@ -133,33 +158,31 @@ def _uniform_counts(rng: np.random.Generator, n: int, b: int, r: int) -> np.ndar
 def _estimates(d: np.ndarray, rng: np.random.Generator, n_boot: int, level: float):
     """The points of QUANTITIES, their interval ends, and the name of the scheme.
 
-    The sided points are the fsums of the count-weighted table of the
-    empirical law of D, over n.  A replicate weighs a subset's unit-weight
-    table by multinomial(n, p) counts, over n.  Up to the cutoff the one
-    subset is the distinct differences at p = counts / n, drawn n_boot
-    times; above it, the bag draws _BLB_SUBSETS subsets of
-    b = ceil(n ** _BLB_GAMMA) rows without replacement, at p = 1 / b, each
-    drawn ceil(n_boot / _BLB_SUBSETS) times.  Counts are drawn _BLB_BLOCK
-    resamples at a time; only the replicates' spreads about their subset's
-    point, ``table @ p``, are kept, and one percentile of them all is added
-    to the full-sample points.
+    The sided points are the fsums of the count-weighted table of the empirical law of D, over n.
+    A replicate weighs a subset's unit-weight table by multinomial(n, p) counts, over n.  Up to the
+    cutoff the one subset is the distinct differences at p = counts / n, drawn n_boot times; above
+    it, the bag draws min(n_boot, _BLB_SUBSETS) subsets of b = ceil(n ** _BLB_GAMMA) rows without
+    replacement, at p = 1 / b, and splits the n_boot resamples over them as evenly as possible.
+    Counts are drawn _BLB_BLOCK resamples at a time; only the replicates' spreads about their
+    subset's point, ``table @ p``, are kept, and one percentile of them all is added to the points.
     """
     n = d.size
     values, counts = np.unique(d, return_counts=True)
     if values.size <= _MULTINOMIAL_CUTOFF:
-        s, r, p, method = 1, n_boot, counts / n, "bootstrap-percentile"
+        s, p, method = 1, counts / n, "bootstrap-percentile"
         subset, draw = lambda: values, lambda k: rng.multinomial(n, p, size=k).astype(float)
     else:  # each row a category of count 1; np.unique's arrays, as large as d, are freed
-        values, counts, b, s = d, 1.0, math.ceil(n**_BLB_GAMMA), _BLB_SUBSETS
-        r, p, method = math.ceil(n_boot / s), np.full(b, 1.0 / b), "blb-percentile"
+        values, counts, b, s = d, 1.0, math.ceil(n**_BLB_GAMMA), min(n_boot, _BLB_SUBSETS)
+        p, method = np.full(b, 1.0 / b), "blb-percentile"
         subset, draw = lambda: d[rng.choice(n, b, replace=False)], lambda k: _uniform_counts(rng, n, b, k)
     points = _with_mean_diff(np.array([_fsum(row) / n for row in _table(values, counts)]))
-    spread = np.empty((len(QUANTITIES), s * r))
-    for start in range(0, s * r, r):
+    spread = np.empty((len(QUANTITIES), n_boot))
+    bounds = [n_boot * i // s for i in range(s + 1)]  # subset i weighs resamples bounds[i]:bounds[i + 1]
+    for start, stop in zip(bounds, bounds[1:]):
         table = _table(subset(), 1.0)
         point = (table @ p)[:, None]
-        for i in range(start, start + r, _BLB_BLOCK):
-            k = min(_BLB_BLOCK, start + r - i)
+        for i in range(start, stop, _BLB_BLOCK):
+            k = min(_BLB_BLOCK, stop - i)
             spread[:, i : i + k] = _with_mean_diff(table @ draw(k).T / n - point)
     alpha = 100.0 * (1.0 - level) / 2.0
     lo, hi = points + np.percentile(spread, [alpha, 100.0 - alpha], axis=1, overwrite_input=True)
@@ -192,10 +215,7 @@ class EstimateReport:
 
 
 def estimate_orders(
-    sample: PairedSample,
-    level: float = 0.95,
-    bootstrap: int = 1000,
-    stream: SeededStream | None = None,
+    sample: PairedSample, level: float = 0.95, bootstrap: int = 1000, stream: SeededStream | None = None
 ) -> EstimateReport:
     """Estimate all joint-law order quantities from paired observations.
 
@@ -214,8 +234,7 @@ def estimate_orders(
     """
     if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ValidationError(f"confidence level must be in (0, 1), got {level!r}")
-    message = "bootstrap resample count must be a positive integer"
-    bootstrap = _integer(bootstrap, message, 1, MAX_BOOTSTRAP)
+    bootstrap = _integer(bootstrap, "bootstrap resample count must be a positive integer", 1, MAX_BOOTSTRAP)
     if sample.n < 2:
         raise SampleTooSmall("confidence intervals require at least 2 pairs")
     stream = stream if stream is not None else SeededStream(0)
@@ -258,22 +277,16 @@ def band_triangle_densities(eps: float) -> tuple[float, float]:
 
 
 def _rejection(count: int, rng: np.random.Generator, batch, accept) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``count`` uniform (u, v) proposals that ``accept(u, v)`` keeps.
-
-    Proposals are drawn in batches of ``batch(k)`` while k are still missing.
-    """
-    us: list[np.ndarray] = [np.empty(0)]  # a region may get no draws at all
-    vs: list[np.ndarray] = [np.empty(0)]
-    got = 0
+    """The first ``count`` uniform (u, v) proposals that ``accept(u, v)`` keeps,
+    drawn in batches of ``batch(k)`` while k are still missing."""
+    kept, got = [(np.empty(0), np.empty(0))], 0  # a region may get no draws at all
     while got < count:
         m = batch(count - got)
-        u = rng.random(m)
-        v = rng.random(m)
+        u, v = rng.random(m), rng.random(m)
         keep = accept(u, v)
-        us.append(u[keep])
-        vs.append(v[keep])
+        kept.append((u[keep], v[keep]))
         got += int(np.count_nonzero(keep))
-    return np.concatenate(us)[:count], np.concatenate(vs)[:count]
+    return tuple(np.concatenate(column)[:count] for column in zip(*kept))
 
 
 def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
@@ -295,15 +308,10 @@ def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
     x, y = np.empty(n), np.empty(n)
     # band: rejection from the strip x in (0, 1), y in (x - eps, x]
     u, v = _rejection(
-        n_band,
-        rng,
-        batch=lambda k: int(k / (1.0 - eps / 2.0) * 1.2) + 16,
-        accept=lambda u, v: u - eps * v > 0.0,
+        n_band, rng, lambda k: int(k / (1.0 - eps / 2.0) * 1.2) + 16, lambda u, v: u - eps * v > 0.0
     )
     x[in_band], y[in_band] = u, u - eps * v
     # triangle: rejection from its bounding box x in (0, eps), y in (1 - eps, 1)
-    u, v = _rejection(
-        n - n_band, rng, batch=lambda k: 2 * k + 16, accept=lambda u, v: (v > u) & (u > 0.0)
-    )
+    u, v = _rejection(n - n_band, rng, lambda k: 2 * k + 16, lambda u, v: (v > u) & (u > 0.0))
     x[~in_band], y[~in_band] = eps * u, 1.0 - eps + eps * v
     return PairedSample(x, y)

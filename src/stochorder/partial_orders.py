@@ -31,11 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import (
-    FiniteMarginal,
-    GridDensityPair,
-    _reverse_cumulative_trapezoid,
-)
+from .distributions import FiniteMarginal, GridDensityPair, _reverse_cumulative_trapezoid
 from .errors import EmptyComparisonRegion, ValidationError
 from .verdicts import Outcome, PartialOrderReport, Verdict
 

@@ -41,13 +41,7 @@ import math
 import numpy as np
 
 from .distributions import FiniteJointDistribution, _fsum
-from .verdicts import (
-    ComparisonReport,
-    DecompositionReport,
-    EventProbs,
-    Outcome,
-    Verdict,
-)
+from .verdicts import ComparisonReport, DecompositionReport, EventProbs, Outcome, Verdict
 
 #: Relative tolerance at which two compared quantities count as equal.
 EQUALITY_RTOL = 1e-12

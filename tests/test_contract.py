@@ -58,7 +58,7 @@ _VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.sampled_from([2**70, 10**400, -(10**400)]),
+    st.sampled_from([2**70, 10**400, -(10**400), 10**5000, -(10**5000)]),  # past the 4300-digit str limit too
     st.floats(),
     st.floats(0.0, 1.0),
     st.text(max_size=3),

@@ -484,8 +484,15 @@ class TestGridDensityPair:
         (lambda: GridDensityPair.from_arrays([0, 1, 2], [1, None, 1], [1, 1, 1]), "densities must be numbers, got None"),
         (lambda: apply_transform(make_joint([(0, 1, 1)]), {0.0: "1", 1.0: "2"}), r"not a number \(got '[12]'\)"),
         (lambda: apply_transform(make_joint([(0, 1, 1)]), lambda t: b"3"), r"not a number \(got b'3'\)"),
+        # repr of an int past Python's 4300-digit limit raises: the type and size stand for it
+        (lambda: make_joint([(10**5000, 0, 1)]), r"atom 0: expected an \(x, y, p\) triple, got <tuple of \d+ bytes>"),
+        (lambda: make_joint(10**5000), r"expected an iterable of atoms, got <int of \d+ bytes>"),
+        (lambda: apply_transform(make_joint([(0, 1, 1)]), lambda t: np.array([10**5000])), r"got <ndarray of \d+ bytes>"),
     ],
-    ids=["complex-atoms", "complex-sample", "none-in-sample", "none-in-density", "text-table", "bytes-callable"],
+    ids=[
+        "complex-atoms", "complex-sample", "none-in-sample", "none-in-density", "text-table", "bytes-callable",
+        "huge-int-atom", "huge-int-input", "huge-int-array",
+    ],
 )
 def test_the_value_that_is_no_number_is_named(build, named):
     # str, bytes, complex values and None are no numbers, though float() or numpy reads some of them

@@ -91,6 +91,73 @@ class TestSampleJoint:
         b = sample_joint(EX1, 50, SeededStream(3))
         assert a.n == 50 and np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            # dyadic masses: every cumulative mass lies on an edge of the inversion's cells
+            [(0, 1, 0.5), (1, 0, 0.25), (2, 2, 0.125), (3, 1, 0.0625), (0, 4, 0.0625)],
+            # the 36-atom joint of the sample_roundtrip benchmark workload
+            [(x, y, (2.0 if x <= y else 1.0) / 57.0) for x in range(1, 7) for y in range(1, 7)],
+        ],
+        ids=["dyadic", "joint36"],
+    )
+    def test_draws_are_the_searchsorted_inverse_cdf(self, atoms):
+        joint = make_joint(atoms)
+        cum = np.cumsum(joint.p)
+        cum[-1] = 1.0
+        for seed in range(3):
+            sample = sample_joint(joint, 50_000, SeededStream(seed))
+            idx = np.searchsorted(cum, SeededStream(seed).rng().random(50_000), side="right")
+            assert sample.x.tobytes() == joint.x[idx].tobytes() and sample.y.tobytes() == joint.y[idx].tobytes()
+
+
+class TestInvert:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        masses=st.lists(st.integers(0, 8), min_size=1, max_size=40)
+        | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        scale=st.integers(0, 12),
+        normalize=st.booleans(),
+        extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+    )
+    def test_equals_searchsorted_bit_for_bit(self, masses, scale, normalize, extra):
+        # integer masses over a power of two are dyadic, and their cdf values fall on the
+        # cells' edges; a zero mass repeats a cdf value; a list of one is one atom
+        cdf = np.cumsum(np.array(masses, dtype=float))
+        cdf = cdf / cdf[-1] if normalize and cdf[-1] > 0.0 else cdf / 2.0**scale
+        inside = cdf[(cdf >= 0.0) & (cdf < 1.0)]
+        near = np.concatenate([inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0)])
+        u = np.concatenate([[0.0], np.arange(1024) / 1024.0, near, extra])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        for draws in (u, np.resize(u, 2**15 + 3)):  # and past two chunks of draws
+            got, want = estimators._invert(cdf, draws), np.searchsorted(cdf, draws, side="right")
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, b", [(10**5, None), (10**8, None), (10**7, 1)], ids=["1e5", "1e8", "1e7-b1"])
+    def test_poisson_cells_chi_square_against_the_pmf(self, n, b):
+        # the bag's lam at n = 1e5 (about 31.2) and 1e8 (about 251), with b = ceil(n ** 0.7);
+        # at n = 1e7 and b = 1 the cdf's window starts far above 0
+        lam = (n - 4.0 * math.sqrt(n)) / (b or math.ceil(n**estimators._BLB_GAMMA))
+        draws = estimators._poisson(np.random.default_rng(17), lam, (200, 1000)).ravel()
+        # 40 bins of about equal mass under the pmf, each term from math.lgamma
+        k0, width = int(lam), int(15.0 * math.sqrt(lam)) + 40
+        ks = range(max(k0 - width, 0), k0 + width)
+        pmf = {k: math.exp(k * math.log(lam) - lam - math.lgamma(k + 1.0)) for k in ks}
+        edges, masses, mass = [], [], 0.0
+        for k, q in pmf.items():
+            mass += q
+            if mass >= 1.0 / 40.0:
+                edges.append(k + 1)
+                masses.append(mass)
+                mass = 0.0
+        masses[-1] += 1.0 - sum(masses)  # the last bin takes the rest, tail included
+        edges[-1] = draws.max() + 1
+        observed = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(edges))
+        expected = draws.size * np.array(masses)
+        chi2, df = float(((observed - expected) ** 2 / expected).sum()), len(edges) - 1
+        bound = df * (1.0 - 2.0 / (9 * df) + 3.09 * math.sqrt(2.0 / (9 * df))) ** 3
+        assert chi2 < bound, (chi2, df)
+
 
 class TestSizeCaps:
     # the caps are lowered, so no test ever requests an oversized allocation
@@ -251,7 +318,7 @@ class TestEstimateOrders:
         # by their counts for the points and at weight 1 for the resamples; above
         # the cutoff the points take one table of all the rows at weight 1, and
         # the bag of little bootstraps one table of each subset's
-        # ceil(600 ** 0.7) = 89 rows
+        # ceil(600 ** 0.7) = 89 rows: at 5 resamples, 5 subsets of one resample each
         calls = []
 
         def spy(d, w):
@@ -264,11 +331,42 @@ class TestEstimateOrders:
         continuous = sample_example4(0.3, 600, SeededStream(1))
         for sample, want in (
             (sample_joint(grid, 600, SeededStream(1)), [(5, "counts"), (5, 1.0)]),
-            (continuous, [(600, 1.0)] + [(89, 1.0)] * estimators._BLB_SUBSETS),
+            (continuous, [(600, 1.0)] + [(89, 1.0)] * 5),
         ):
             calls.clear()
             estimate_orders(sample, bootstrap=5)
             assert calls == want
+
+    @pytest.mark.parametrize("bootstrap", [1, 5, 15, 1000])
+    def test_the_spread_holds_exactly_the_reported_resamples(self, bootstrap, monkeypatch):
+        # the bag splits B resamples over min(B, 10) subsets as evenly as possible; the
+        # multinomial path weighs its one subset B times
+        events, widths = [], []
+        table, counts, percentile = estimators._table, estimators._uniform_counts, np.percentile
+
+        def spy_table(d, w):  # a table starts a subset, and the draws up to the next are its own
+            events.append(None)
+            return table(d, w)
+
+        def spy_counts(rng, n, b, r):
+            events[-1] = (events[-1] or 0) + r
+            return counts(rng, n, b, r)
+
+        def spy_percentile(a, q, **kwargs):
+            widths.append(a.shape[1])
+            return percentile(a, q, **kwargs)
+
+        monkeypatch.setattr(estimators, "_table", spy_table)
+        monkeypatch.setattr(estimators, "_uniform_counts", spy_counts)
+        monkeypatch.setattr(estimators.np, "percentile", spy_percentile)
+        report = estimate_orders(sample_example4(0.3, 600, SeededStream(1)), bootstrap=bootstrap)
+        per_subset = events[1:]  # the first table is the points'
+        assert report.method == "blb-percentile" and widths == [bootstrap]
+        assert len(per_subset) == min(bootstrap, 10) and sum(per_subset) == bootstrap
+        assert max(per_subset) - min(per_subset) <= 1
+        grid = make_joint([(float(a), float(b), 1.0 / 9.0) for a in range(3) for b in range(3)])
+        report = estimate_orders(sample_joint(grid, 600, SeededStream(1)), bootstrap=bootstrap)
+        assert report.method == "bootstrap-percentile" and widths == [bootstrap] * 2
 
     def test_multinomial_path_weighs_distinct_differences(self, monkeypatch):
         # integer data: about 11,000 distinct pairs, but 11 distinct differences
@@ -463,36 +561,40 @@ class TestUniformCounts:
         bound = df * (1.0 - 2.0 / (9 * df) + 3.09 * math.sqrt(2.0 / (9 * df))) ** 3
         assert chi2 < bound, (chi2, df)
 
-    def test_a_row_past_n_is_drawn_again(self):
+    def test_a_row_past_n_is_drawn_again(self, monkeypatch):
         redrawn = []
+        poisson = estimators._poisson
 
-        class Overshooting(np.random.Generator):
-            def poisson(self, lam, size):
-                counts = super().poisson(lam, size)
-                counts[::2, 0] += 10**6  # every other row passes n
-                return counts
+        def overshooting(rng, lam, size):
+            counts = poisson(rng, lam, size)
+            counts[::2, 0] += 10**6  # every other row passes n
+            return counts
 
+        class Recording(np.random.Generator):
             def multinomial(self, n, pvals, size):
                 redrawn.append(size)
                 return super().multinomial(n, pvals, size=size)
 
-        counts = estimators._uniform_counts(Overshooting(np.random.PCG64(5)), 1000, 40, 6)
+        monkeypatch.setattr(estimators, "_poisson", overshooting)
+        counts = estimators._uniform_counts(Recording(np.random.PCG64(5)), 1000, 40, 6)
         assert redrawn == [3]
         assert (counts.sum(axis=1) == 1000).all() and (counts >= 0).all()
         assert counts[:, 0].max() < 10**6
 
     @pytest.mark.parametrize("n", [1, 2, 15])
-    def test_below_16_every_count_comes_from_the_top_up(self, n):
+    def test_below_16_every_count_comes_from_the_top_up(self, n, monkeypatch):
         # n - 4 sqrt(n) < 0 for n < 16, so lam clamps to 0 and the Poisson cells are empty
-        rates = []
+        rates, cells = [], []
+        poisson = estimators._poisson
 
-        class Recording(np.random.Generator):
-            def poisson(self, lam, size):
-                rates.append(lam)
-                return super().poisson(lam, size)
+        def recording(rng, lam, size):
+            rates.append(lam)
+            cells.append(poisson(rng, lam, size))
+            return cells[-1]
 
-        counts = estimators._uniform_counts(Recording(np.random.PCG64(7)), n, 3, 50)
-        assert rates == [0.0]
+        monkeypatch.setattr(estimators, "_poisson", recording)
+        counts = estimators._uniform_counts(np.random.Generator(np.random.PCG64(7)), n, 3, 50)
+        assert rates == [0.0] and not cells[0].any()
         assert (counts.sum(axis=1) == n).all() and (counts >= 0).all()
 
 
