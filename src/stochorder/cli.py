@@ -53,9 +53,7 @@ def _render_compare_table(report) -> str:
         evidence = "  ".join(f"{k}={_fmt(v)}" for k, v in verdict.evidence.items())
         lines.append(f"{label:<28}{verdict.preferred():<11}{verdict.outcome.value:<17}{evidence}")
     probs = report.probs
-    lines.append(
-        f"P(X<Y)={_fmt(probs.p_less)}  P(X=Y)={_fmt(probs.p_equal)}  P(X>Y)={_fmt(probs.p_greater)}"
-    )
+    lines.append(f"P(X<Y)={_fmt(probs.p_less)}  P(X=Y)={_fmt(probs.p_equal)}  P(X>Y)={_fmt(probs.p_greater)}")
     for d in (report.l1, report.kstar):
         lines.append(
             f"{d.metric}: below={_fmt(d.below_term)} above={_fmt(d.above_term)}"
@@ -75,21 +73,14 @@ def _cmd_compare(args) -> int:
 
 def _cmd_estimate(args) -> int:
     sample = read_sample_csv(args.input)
-    report = estimate_orders(
-        sample,
-        level=args.level,
-        bootstrap=args.bootstrap,
-        stream=SeededStream(args.seed),
-    )
+    report = estimate_orders(sample, args.level, args.bootstrap, SeededStream(args.seed))
     if args.format == "json":
         print(render_json(report.to_dict()))
         return 0
     lines = [f"n={report.n}  level={report.level}  bootstrap={report.bootstrap}  seed={report.seed}"]
     lines.append(f"{'quantity':<14}{'point':<16}interval")
     for name, est in report.quantities.items():
-        lines.append(
-            f"{name:<14}{_fmt(est.point):<16}[{_fmt(est.ci_low)}, {_fmt(est.ci_high)}]"
-        )
+        lines.append(f"{name:<14}{_fmt(est.point):<16}[{_fmt(est.ci_low)}, {_fmt(est.ci_high)}]")
     lines.append("")
     lines.append(_render_compare_table(report.comparison))
     print("\n".join(lines))

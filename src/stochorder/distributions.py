@@ -25,17 +25,19 @@ One rule, in ``_floats`` and ``_float`` (one value), says what a number is
 for every constructor and ``FiniteMarginal.cdf``: what ``float()`` reads,
 bools as 0 and 1, but no str, bytes, complex value, None or array past 0-d.
 
-Mass bookkeeping uses ``math.fsum`` throughout, so the total-mass invariant
-(sum = 1 within 1e-12) holds at any support size.  Building a law is one
-grouped reduction: a stable sort, group boundaries found with ``!=`` one
-key at a time, and ``fsum`` over each group that holds duplicates.
+Masses and every exact term are summed by ``_fsum``: ``math.fsum``'s value,
+bit for bit, from numpy blocks.  So the total-mass invariant (sum = 1 within
+1e-12) holds at any support size.  Building a law is one grouped reduction: a
+stable sort, group boundaries found with ``!=`` one key at a time, and
+``math.fsum`` over each group that holds duplicates.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +54,7 @@ DENSITY_NORM_TOL = 1e-6
 #: Default cap on the number of atoms a product coupling may create.
 MAX_PRODUCT_ATOMS = 10_000_000
 
+_FSUM_BLOCK = 1 << 14  #: values per block of ``_fsum``'s extraction, a power of two
 #: Raw rows of each finite law: (width, item, shape, coordinate), as ``_checked_rows`` takes them.
 _ATOM = (3, "atom", "an (x, y, p) triple", "support value")
 _POINT = (2, "point", "a (value, p) pair", "value")
@@ -93,10 +96,28 @@ def _floats(value, message: str) -> np.ndarray:
 
 
 def _fsum(column: np.ndarray) -> float:
-    try:
-        return math.fsum(memoryview(column))  # reads the buffer; builds no list of floats
-    except OverflowError:  # a sum past the float range: its halves' sum, doubled, rounds to +-inf
-        return 2.0 * math.fsum(memoryview(column / 2.0))
+    """``math.fsum(column)`` bit for bit.  Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+    31(1), 2008) splits blocks of values into parts whose float sums are exact, and fsum rounds them once."""
+    top, i = float(column.size < _FSUM_BLOCK), 0  # on fewer values, math.fsum itself is as fast
+    # scratch in its own mapping: a 256 KB heap block, reused by long-lived objects, kept glibc from trimming
+    parts, buffers = [], None if top else np.frombuffer(mmap.mmap(-1, 16 * _FSUM_BLOCK)).reshape(2, -1)
+    while not top and i < column.size:
+        (r, h), i = buffers[:, : column.size - i], i + _FSUM_BLOCK  # the block's rest, and its high part
+        r[...] = column[i - _FSUM_BLOCK : i]
+        for _ in range(5):
+            top = float(np.abs(r, out=h).max())
+            if not 0.0 < top * (column.size + 2 * _FSUM_BLOCK) < 2.0**1008:  # cleared, or for math.fsum
+                break
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + _FSUM_BLOCK.bit_length())  # > top * (block + 2)
+            np.subtract(np.add(r, sigma, out=h), sigma, out=h)  # on a grid of sigma / 2**53: sums exactly
+            r -= h
+            parts.append(float(h.sum()))
+    if top:  # few values, one not finite, sums that could near the float max, or a block left after 4 passes
+        try:
+            return math.fsum(memoryview(column))  # reads the buffer; builds no list of floats
+        except OverflowError:  # a sum past the float range: its halves' sum, doubled, rounds to +-inf
+            return 2.0 * math.fsum(memoryview(column / 2.0))
+    return math.fsum(parts or [-0.0 if column.size and np.signbit(column).all() else 0.0])  # zeros: signed
 
 
 def _freeze(obj, names: Iterable[str], arrays: Iterable[np.ndarray]) -> None:
@@ -489,9 +510,15 @@ class GridDensityPair:
     grid: np.ndarray
     fx: np.ndarray
     fy: np.ndarray
+    normalize: InitVar[bool] = False  #: rescale each density so that its trapezoid integral is exactly 1
 
-    def __post_init__(self):
+    def __post_init__(self, normalize: bool):
         grid, fx, fy = _grid_arrays(self.grid, self.fx, self.fy)
+        if normalize:
+            zx, zy = _integral("fx", fx, grid), _integral("fy", fy, grid)
+            if zx <= 0.0 or zy <= 0.0:
+                raise ValidationError("cannot normalize a density with nonpositive integral")
+            fx, fy = fx / zx, fy / zy
         for name, f in (("fx", fx), ("fy", fy)):
             if np.any(f < 0.0):
                 raise ValidationError(f"{name} contains negative density values")
@@ -502,15 +529,8 @@ class GridDensityPair:
 
     @classmethod
     def from_arrays(cls, grid, fx, fy, normalize: bool = False) -> "GridDensityPair":
-        """Build from tabulated values, optionally rescaling each density so
-        its trapezoid integral is exactly 1."""
-        grid, fx, fy = _grid_arrays(grid, fx, fy)
-        if normalize:
-            zx, zy = _integral("fx", fx, grid), _integral("fy", fy, grid)
-            if zx <= 0.0 or zy <= 0.0:
-                raise ValidationError("cannot normalize a density with nonpositive integral")
-            fx, fy = fx / zx, fy / zy
-        return cls(grid, fx, fy)
+        """``GridDensityPair(grid, fx, fy, normalize)``: by default, no density is rescaled."""
+        return cls(grid, fx, fy, normalize)
 
     @classmethod
     def from_functions(cls, grid, fx_fn, fy_fn, normalize: bool = True) -> "GridDensityPair":

@@ -276,42 +276,21 @@ def band_triangle_densities(eps: float) -> tuple[float, float]:
     return (1.0 - eps) / (eps * (1.0 - eps / 2.0)), 2.0 / eps
 
 
-def _rejection(count: int, rng: np.random.Generator, batch, accept) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``count`` uniform (u, v) proposals that ``accept(u, v)`` keeps,
-    drawn in batches of ``batch(k)`` while k are still missing."""
-    kept, got = [(np.empty(0), np.empty(0))], 0  # a region may get no draws at all
-    while got < count:
-        m = batch(count - got)
-        u, v = rng.random(m), rng.random(m)
-        keep = accept(u, v)
-        kept.append((u[keep], v[keep]))
-        got += int(np.count_nonzero(keep))
-    return tuple(np.concatenate(column)[:count] for column in zip(*kept))
-
-
 def sample_example4(eps: float, n: int, stream: SeededStream) -> PairedSample:
-    """Draw n i.i.d. pairs from the band-and-triangle density.
-
-    A pair lands in the band with the band's probability mass (density
-    times band area) and in the triangle otherwise; within each region the
-    draw is uniform, produced by rejection sampling (acceptance rates
-    1 - eps/2 for the band strip and 1/2 for the triangle box).
-    """
+    """n i.i.d. pairs of the band-and-triangle density, in closed form.  The first n uniforms put a pair in
+    the band with the band's mass, else in the triangle.  In the band, x inverts its cdf (quadratic up to
+    eps, then linear), y = x - min(x, eps) v; a triangle pair is (eps min(u, v), 1 - eps + eps max(u, v))."""
     d_band, _ = band_triangle_densities(eps)
     eps = float(eps)
     n = _integer(n, "sample size must be a positive integer", 1, MAX_SAMPLE_SIZE)
-    band_mass = d_band * (eps - 0.5 * eps * eps)  # density x band area; the triangle has the rest
-
-    rng = stream.rng()
-    in_band = rng.random(n) < band_mass
-    n_band = int(np.count_nonzero(in_band))
-    x, y = np.empty(n), np.empty(n)
-    # band: rejection from the strip x in (0, 1), y in (x - eps, x]
-    u, v = _rejection(
-        n_band, rng, lambda k: int(k / (1.0 - eps / 2.0) * 1.2) + 16, lambda u, v: u - eps * v > 0.0
-    )
-    x[in_band], y[in_band] = u, u - eps * v
-    # triangle: rejection from its bounding box x in (0, eps), y in (1 - eps, 1)
-    u, v = _rejection(n - n_band, rng, lambda k: 2 * k + 16, lambda u, v: (v > u) & (u > 0.0))
-    x[~in_band], y[~in_band] = eps * u, 1.0 - eps + eps * v
-    return PairedSample(x, y)
+    half = 0.5 * eps * eps  # the band's area over x < eps
+    band, u, v = stream.rng().random((3, n))
+    band = band < d_band * (eps - half)  # density x band area; the triangle has the rest
+    x, y = eps * np.minimum(u, v), 1.0 - eps + eps * np.maximum(u, v)  # the triangle's pairs
+    u *= eps - half  # the band's area left of x, on [0, eps - half): x is its cdf inverted
+    xb = np.sqrt(2.0 * u)
+    np.copyto(xb, (u - half) / eps + eps, where=u >= half)
+    np.copyto(x, xb, where=band)
+    xb -= np.minimum(xb, eps) * v
+    np.copyto(y, xb, where=band)
+    return PairedSample._from_columns(x, y)

@@ -1,13 +1,17 @@
 """Construction, validation and elementary functionals of the substrates."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import stochorder.distributions
 
 from stochorder import (
     EmptyDistribution,
@@ -28,7 +32,7 @@ from stochorder import (
     product_joint,
     swap,
 )
-from stochorder.distributions import _grouped
+from stochorder.distributions import _fsum, _grouped
 
 from conftest import random_joint
 
@@ -355,6 +359,119 @@ class TestGrouped:
         assert np.signbit(gx).tolist() == [True, False] and counts.tolist() == [3.0, 1.0]
 
 
+def _fsum_outcome(total):
+    """What a sum returns, by its bits (-0.0 apart from 0.0, every nan alike), or what it raises."""
+    try:
+        return float.hex(total())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_fsum(values: np.ndarray) -> float:
+    """``math.fsum``, and past the float range the doubled sum of the halves, as ``_fsum`` promises."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return 2.0 * math.fsum((values / 2.0).tolist())
+
+
+def _same_sum(values) -> None:
+    values = np.array(values, dtype=float)
+    assert _fsum_outcome(lambda: _fsum(values)) == _fsum_outcome(lambda: _reference_fsum(values))
+
+
+_MAX = 1.7976931348623157e308
+#: values at the edges: zeros, subnormals, the smallest normal, halfway points of 1's ulp, the largest floats
+_EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0, 2.0**-53, 3 * 2.0**-53,
+     2.0**-54, 1e16, 2.0**1000, _MAX, -_MAX, 1e308, math.inf, -math.inf, math.nan]
+)
+_SUMMANDS = st.one_of(
+    st.floats(),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e-300, max_value=1e-300),
+    st.integers(-(2**60), 2**60).map(float),  # integers past 2**53 round: their sums often tie
+    _EDGE_VALUES,
+)
+
+
+@st.composite
+def _cancelling(draw):
+    """A list, its negation in another order, and a few small values: an exact sum far below the terms."""
+    values = draw(st.lists(st.floats(allow_nan=False, min_value=-1e300, max_value=1e300), max_size=20))
+    small = draw(st.lists(st.floats(min_value=-1e-200, max_value=1e-200), max_size=3))
+    return draw(st.permutations(values + [-v for v in values] + small))
+
+
+class TestFsum:
+    """``_fsum`` is ``math.fsum``, bit for bit: the sign of a zero, nan, inf and the ValueError of inf - inf."""
+
+    @pytest.fixture(params=[4, 1 << 14], ids=["block-4", "block-16384"], autouse=True)
+    def block(self, request):
+        # in blocks of 4, a column of 4 values or more takes the numpy path, and spans blocks
+        with mock.patch.object(stochorder.distributions, "_FSUM_BLOCK", request.param):
+            yield request.param
+
+    @given(values=st.lists(_SUMMANDS, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, values):
+        _same_sum(values)
+
+    @given(values=_cancelling())
+    @settings(max_examples=200, deadline=None)
+    def test_heavy_cancellation(self, values):
+        _same_sum(values)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0**-53],  # a tie: rounds to the even 1.0
+        [1.0 + 2.0**-52, 2.0**-53],  # a tie: rounds up, to the even neighbour
+        [1.0, 2.0**-53, 2.0**-200],  # just past the tie: rounds up
+        [1.0, 2.0**-53, -(2.0**-200)],  # just short of it: rounds down
+        [5e-324, 5e-324, -1e-323, 5e-324],  # subnormals only
+        [2.2250738585072014e-308, -5e-324],  # across the bottom of the normal range
+        [_MAX, _MAX, -_MAX],  # an intermediate sum past the float max: the halves' sum, doubled
+        [_MAX, _MAX],  # a total past it: inf
+        [_MAX, 1e292],  # rounds to the largest float
+        [2.0**1000] * 5,  # sums near the float max go to math.fsum
+        [math.inf, 1.0], [-math.inf, -math.inf], [math.inf, -math.inf], [math.nan, 1.0], [math.inf, math.nan],
+        [1.0, 1e-100, 1e-200, 1e-300],  # a range no 4 passes clear
+    ])
+    def test_case(self, values):
+        _same_sum(values)
+
+    @pytest.mark.parametrize("values", [[], [0.0], [-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, -0.0],
+                                        [1.0, -1.0], [-1.0, 1.0, -0.0], [5e-324, -5e-324]])
+    def test_zeros_of_either_sign(self, values):
+        _same_sum(values)
+
+
+class TestFsumAtLength:
+    """``_fsum`` at its own block of 2**14 values: long columns, and the memory they take."""
+
+    @pytest.mark.parametrize("n", [0, 1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 << 14])
+    def test_lengths_around_a_block(self, n):
+        rng = np.random.default_rng(n)
+        _same_sum(rng.standard_normal(n) * 2.0 ** rng.integers(-40, 40, n))
+        _same_sum(-np.abs(rng.standard_normal(n)) * 1e-320)  # subnormals, negative
+        ones = np.full(n, 2.0**-53)  # exact in a block, but not in a running float sum
+        ones[:1] = 1.0
+        _same_sum(ones)
+        tie = np.zeros(n)  # 1 and half its ulp, in the first and the last block: a tie, to even
+        tie[:1], tie[-1:] = 1.0 + 2.0**-52, 2.0**-53
+        _same_sum(tie)
+        _same_sum(np.full(n, -0.0))
+
+    def test_peak_memory_is_two_blocks(self):
+        values = np.random.default_rng(0).random(10**6)
+        tracemalloc.start()
+        try:
+            total = _fsum(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == math.fsum(values.tolist())
+        assert peak < 1_000_000
+
+
 class TestGridDensityPair:
     def test_valid_pair(self):
         grid = np.linspace(0, 1, 11)
@@ -365,6 +482,14 @@ class TestGridDensityPair:
         assert g.cdf_x[-1] == pytest.approx(1.0, abs=1e-12)
         assert g.survival_x[-1] == 0.0
         assert g.survival_x[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_from_arrays_checks_and_copies_once(self, normalize):
+        grid = np.linspace(0, 2, 21)
+        with mock.patch.object(stochorder.distributions, "_grid_arrays", wraps=stochorder.distributions._grid_arrays) as spy:
+            g = GridDensityPair.from_arrays(grid, np.full(21, 0.5), np.full(21, 0.5), normalize=normalize)
+        assert spy.call_count == 1
+        assert np.array_equal(g.fx, np.full(21, 0.5))
 
     def test_normalize_fixes_scale(self):
         grid = np.linspace(0, 2, 21)

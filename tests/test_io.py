@@ -1,9 +1,16 @@
 """JSON and CSV interchange formats."""
 
+import hashlib
 import json
 import os
+import pathlib
+import socket
+import subprocess
+import sys
 import tracemalloc
+import urllib.request
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +183,11 @@ class TestWriter:
         loaded = read_sample_csv(path)
         assert loaded.x.tobytes() == x.tobytes() and loaded.y.tobytes() == y.tobytes()
 
+    def test_signed_zeros_and_1e16_are_pinned(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_sample_csv(path, PairedSample(np.array([-0.0, 0.0, 1e16, 0.0]), np.array([1e16, -0.0, 0.0, 1e16])))
+        assert path.read_bytes() == b"x,y\r\n-0.0,1e+16\r\n0.0,-0.0\r\n1e+16,0.0\r\n0.0,1e+16\r\n"
+
     def test_signed_zeros_in_one_chunk(self, tmp_path):
         x = np.array([0.0, -0.0, 0.0, -0.0, 1.0])
         y = np.array([-0.0, -0.0, 0.0, 2.0, 0.0])
@@ -202,11 +214,14 @@ def _outcome(reader, path):
 
 
 def _agree(path, text: str):
-    """Both readers' outcome on ``text``, after checking that they are the same."""
+    """Both readers' outcome on ``text``, after checking that they are the same, with the C parse
+    reading the file by name (which numpy reads in chunks) and through the handle (line by line)."""
     path.write_bytes(text.encode("utf-8"))
-    fast, rows = _outcome(read_sample_csv, path), _outcome(_rows, path)
-    assert fast == rows
-    return fast
+    rows = _outcome(_rows, path)
+    for by_name in (0, 1 << 62):
+        with mock.patch.object(stochorder.io, "_BY_NAME", by_name):
+            assert _outcome(read_sample_csv, path) == rows
+    return rows
 
 
 SIXTY_DIGITS = "0." + "1234567890" * 5 + "1234567891"
@@ -271,6 +286,123 @@ _FIELD = st.one_of(
     st.text(alphabet="0123456789+-.e_\" ", max_size=6),
 )
 _ROW = st.tuples(_FIELD, _FIELD).map(",".join)
+
+
+#: the size from which a file is read by name, before any test patches it
+BY_NAME = stochorder.io._BY_NAME
+
+#: a sample with signed zeros, a subnormal, 1e16 and values from the float range's ends
+ROUTE_SAMPLE = PairedSample(
+    np.array([-0.0, 0.0, 1e16, 5e-324, 0.1, -1.5e300, 1.0 / 3.0, 2.5]),
+    np.array([1e16, -0.0, 0.0, -1e-320, 1.7976931348623157e308, 7.0, -2.0 / 3.0, 0.0]),
+)
+
+
+@pytest.fixture
+def no_network(monkeypatch):
+    """Any attempt to resolve a host or open a URL fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a URL was opened")
+    for module, name in ((urllib.request, "urlopen"), (socket, "getaddrinfo"), (socket, "create_connection")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """What each ``np.loadtxt`` call reads from, in order: a name (str) or a handle."""
+    sources, loadtxt = [], np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+def _reads_the_sample(path, sample=ROUTE_SAMPLE) -> None:
+    got = read_sample_csv(path)
+    assert (got.x.tobytes(), got.y.tobytes()) == (sample.x.tobytes(), sample.y.tobytes())
+
+
+class TestReadRoute:
+    """numpy reads a file it opens by name in chunks, and a handle line by line: a seekable file of
+    ``_BY_NAME`` bytes or more is read by its name, joined onto the working directory, and every
+    route reads the same floats.  Here every file is large enough, unless a test says otherwise."""
+
+    @pytest.fixture(autouse=True)
+    def by_name_from_any_size(self, monkeypatch):
+        monkeypatch.setattr(stochorder.io, "_BY_NAME", 0)
+
+    def test_a_file_is_read_by_name_from_its_size_on(self, tmp_path, monkeypatch, loadtxt_sources):
+        path = tmp_path / "s.csv"
+        write_sample_csv(path, ROUTE_SAMPLE)
+        monkeypatch.setattr(stochorder.io, "_BY_NAME", path.stat().st_size + 1)
+        _reads_the_sample(path)
+        monkeypatch.setattr(stochorder.io, "_BY_NAME", path.stat().st_size)
+        _reads_the_sample(path)
+        assert not isinstance(loadtxt_sources[0], str) and loadtxt_sources[1] == str(path)
+
+    def test_a_plain_name(self, tmp_path, monkeypatch, loadtxt_sources):
+        write_sample_csv(tmp_path / "s.csv", ROUTE_SAMPLE)
+        monkeypatch.chdir(tmp_path)
+        _reads_the_sample("s.csv")
+        assert loadtxt_sources == [os.path.join(str(tmp_path), "s.csv")]
+
+    @pytest.mark.parametrize("name", ["s.csv.gz", "s.csv.xz", "s.csv.bz2", "s.csv.lzma"])
+    def test_a_name_numpy_would_decompress_is_read_by_handle(self, tmp_path, loadtxt_sources, name):
+        write_sample_csv(tmp_path / name, ROUTE_SAMPLE)  # plain text, whatever the suffix says
+        _reads_the_sample(tmp_path / name)
+        assert len(loadtxt_sources) == 1 and not isinstance(loadtxt_sources[0], str)
+
+    def test_a_url_shaped_name_is_a_local_path(self, tmp_path, monkeypatch, no_network, loadtxt_sources):
+        (tmp_path / "http:" / "example.org").mkdir(parents=True)  # http://example.org/s.csv names this file
+        write_sample_csv(tmp_path / "http:" / "example.org" / "s.csv", ROUTE_SAMPLE)
+        monkeypatch.chdir(tmp_path)
+        _reads_the_sample("http://example.org/s.csv")
+        assert loadtxt_sources == [os.path.join(str(tmp_path), "http://example.org/s.csv")]
+
+    def test_dotdot_after_a_symlink(self, tmp_path, monkeypatch, loadtxt_sources):
+        # link/../s.csv is real/s.csv to the kernel, but s.csv once the name is normalised
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        write_sample_csv(tmp_path / "real" / "s.csv", ROUTE_SAMPLE)
+        write_sample_csv(tmp_path / "s.csv", PairedSample(np.array([1.0]), np.array([2.0])))
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        monkeypatch.chdir(tmp_path)
+        _reads_the_sample("link/../s.csv")
+        assert loadtxt_sources == [os.path.join(str(tmp_path), "link/../s.csv")]
+
+    @pytest.mark.parametrize("to_path", [pathlib.Path, lambda p: p.encode(), lambda p: _BytesPath(p.encode())])
+    def test_a_path_like(self, tmp_path, loadtxt_sources, to_path):
+        write_sample_csv(tmp_path / "s.csv", ROUTE_SAMPLE)
+        _reads_the_sample(to_path(str(tmp_path / "s.csv")))
+        assert loadtxt_sources == [str(tmp_path / "s.csv")]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("from_a_pipe", [False, True])
+    def test_dev_stdin(self, tmp_path, from_a_pipe):
+        # from a file, /dev/stdin is seekable and opens that file again by name; a pipe is read by handle
+        repeat = -(-BY_NAME // 100)  # rows, past the size read by name in a fresh process
+        sample = PairedSample(np.tile(ROUTE_SAMPLE.x, repeat), np.tile(ROUTE_SAMPLE.y, repeat))
+        path = tmp_path / "s.csv"
+        write_sample_csv(path, sample)
+        assert path.stat().st_size >= BY_NAME
+        code = ("import hashlib; from stochorder import read_sample_csv; s = read_sample_csv('/dev/stdin'); "
+                "print(hashlib.sha256(s.x.tobytes() + s.y.tobytes()).hexdigest())")
+        with open(path, "rb") as fh:
+            stdin = {"input": fh.read()} if from_a_pipe else {"stdin": fh}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, **stdin)
+        assert proc.stdout.decode().strip() == hashlib.sha256(sample.x.tobytes() + sample.y.tobytes()).hexdigest()
+
+
+class _BytesPath:
+    """An ``os.PathLike`` whose path is bytes."""
+
+    def __init__(self, path: bytes):
+        self.path = path
+
+    def __fspath__(self) -> bytes:
+        return self.path
 
 
 class TestReadersAgree:
